@@ -3,8 +3,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use vcf_core::bulk::{self, BulkHost};
-use vcf_core::{CuckooConfig, EvictionPolicy};
+use vcf_core::CuckooConfig;
 use vcf_hash::HashKind;
 use vcf_table::FingerprintTable;
 use vcf_traits::{BuildError, Counters, Filter, InsertError, Stats};
@@ -43,7 +42,6 @@ pub struct CuckooFilter {
     table: FingerprintTable,
     hash: HashKind,
     max_kicks: u32,
-    eviction: EvictionPolicy,
     index_mask: u64,
     rng: SmallRng,
     /// Undo log for the current eviction walk, replayed in reverse when
@@ -70,7 +68,6 @@ impl CuckooFilter {
             table,
             hash: config.hash,
             max_kicks: config.max_kicks,
-            eviction: config.eviction,
             index_mask: config.buckets as u64 - 1,
             rng: SmallRng::seed_from_u64(config.seed),
             undo: Vec::new(),
@@ -114,22 +111,10 @@ impl CuckooFilter {
         bucket ^ (self.hash.hash_fingerprint(fingerprint) & self.index_mask) as usize
     }
 
-    /// Places an already-hashed item under the configured policy.
+    /// Places an already-hashed item: Fan et al.'s random-walk
+    /// relocation, with rollback-on-failure and bucket accesses counted
+    /// as they happen.
     fn insert_prehashed(
-        &mut self,
-        fingerprint: u32,
-        b1: usize,
-        b2: usize,
-    ) -> Result<(), InsertError> {
-        match self.eviction {
-            EvictionPolicy::RandomWalk => self.insert_random_walk(fingerprint, b1, b2),
-            EvictionPolicy::Bfs => self.insert_bfs(fingerprint, b1, b2),
-        }
-    }
-
-    /// Fan et al.'s random-walk relocation, with rollback-on-failure and
-    /// bucket accesses counted as they happen.
-    fn insert_random_walk(
         &mut self,
         fingerprint: u32,
         b1: usize,
@@ -181,127 +166,6 @@ impl CuckooFilter {
         self.counters.add_failed_insert();
         Err(InsertError::Full { kicks })
     }
-
-    /// BFS eviction (Eppstein's simplification): branching factor 1 per
-    /// resident — each fingerprint has a single alternate — so the search
-    /// tree is the same graph the random walk samples, explored level by
-    /// level. Writes happen only once a complete path is known, so no
-    /// undo log is needed.
-    fn insert_bfs(&mut self, fingerprint: u32, b1: usize, b2: usize) -> Result<(), InsertError> {
-        use core::cell::Cell;
-
-        let slots = self.table.slots_per_bucket();
-        let probes = Cell::new(0u64);
-        let accesses = Cell::new(0u64);
-        let max_nodes = if self.max_kicks == 0 {
-            0
-        } else {
-            (self.max_kicks as usize).max(8)
-        };
-
-        let table = &self.table;
-        let hash = self.hash;
-        let index_mask = self.index_mask;
-        let counters = &self.counters;
-        let path = vcf_core::evict::search(
-            [b1, b2].into_iter().map(|b| (b, fingerprint)),
-            max_nodes,
-            |bucket| {
-                probes.set(probes.get() + slots as u64);
-                accesses.set(accesses.get() + 1);
-                table.first_empty_slot(bucket)
-            },
-            |bucket, out| {
-                accesses.set(accesses.get() + 1);
-                for slot in 0..slots {
-                    let resident = table.get(bucket, slot);
-                    let alt = bucket ^ (hash.hash_fingerprint(resident) & index_mask) as usize;
-                    counters.add_hashes(1);
-                    out.push((slot, alt, resident));
-                }
-            },
-        );
-
-        let Some(path) = path else {
-            self.counters.record_insert(probes.get(), accesses.get());
-            self.counters.add_failed_insert();
-            return Err(InsertError::Full { kicks: 0 });
-        };
-
-        let kicks = path.kicks();
-        let mut dest = path.empty_slot;
-        for step in path.steps[1..].iter().rev() {
-            self.table.set(step.bucket, dest, step.value);
-            dest = step.slot_in_parent;
-        }
-        self.table.set(path.steps[0].bucket, dest, fingerprint);
-        self.counters.add_kicks(kicks);
-        self.counters
-            .record_insert(probes.get(), accesses.get() + kicks + 1);
-        Ok(())
-    }
-}
-
-impl BulkHost for CuckooFilter {
-    /// `(fingerprint, B1, B2)` — both candidates precomputed, narrow.
-    type Key = (u32, u32, u32);
-
-    fn bulk_buckets(&self) -> usize {
-        self.table.buckets()
-    }
-
-    fn bulk_key(&self, item: &[u8]) -> Self::Key {
-        let (fingerprint, b1) = self.key_of(item);
-        (
-            fingerprint,
-            b1 as u32,
-            self.alternate(b1, fingerprint) as u32,
-        )
-    }
-
-    fn bulk_candidates(&self, _key: &Self::Key) -> usize {
-        2
-    }
-
-    fn bulk_candidate(&self, key: &Self::Key, e: usize) -> usize {
-        if e == 0 {
-            key.1 as usize
-        } else {
-            key.2 as usize
-        }
-    }
-
-    fn bulk_prefetch(&self, bucket: usize) {
-        self.table.prefetch_bucket(bucket);
-    }
-
-    fn bulk_try_place(&mut self, key: &Self::Key, e: usize) -> bool {
-        let bucket = if e == 0 { key.1 } else { key.2 };
-        self.table.try_insert(bucket as usize, key.0).is_some()
-    }
-
-    fn bulk_place_run(&mut self, bucket: usize, keys: &[Self::Key]) -> usize {
-        let mut fps = [0u64; vcf_table::MAX_BUCKET_SLOTS];
-        let take = keys.len().min(fps.len());
-        for (fp, key) in fps.iter_mut().zip(&keys[..take]) {
-            *fp = u64::from(key.0);
-        }
-        self.table.fill(bucket, &fps[..take])
-    }
-
-    fn bulk_record_keys(&self, n: u64) {
-        self.counters.add_hashes(2 * n);
-    }
-
-    fn bulk_record_swept(&self, items: u64, bucket_accesses: u64) {
-        let slots = self.table.slots_per_bucket() as u64;
-        self.counters
-            .record_inserts(items, bucket_accesses * slots, bucket_accesses);
-    }
-
-    fn bulk_insert(&mut self, key: &Self::Key) -> Result<(), InsertError> {
-        self.insert_prehashed(key.0, key.1 as usize, key.2 as usize)
-    }
 }
 
 impl Filter for CuckooFilter {
@@ -338,14 +202,6 @@ impl Filter for CuckooFilter {
         out
     }
 
-    /// Sort-by-bucket bulk construction (see [`vcf_core::bulk`]).
-    fn build_from_iter(
-        &mut self,
-        items: &mut dyn Iterator<Item = &[u8]>,
-    ) -> Vec<Result<(), InsertError>> {
-        bulk::build_from_iter(self, items)
-    }
-
     fn contains(&self, item: &[u8]) -> bool {
         let (fingerprint, b1) = self.key_of(item);
         let b2 = self.alternate(b1, fingerprint);
@@ -375,7 +231,8 @@ impl Filter for CuckooFilter {
         let slots = self.table.slots_per_bucket() as u64;
         let mut out = Vec::with_capacity(items.len());
         for &(fingerprint, b1, b2) in &keys {
-            // One two-bucket probe with no early exit (SIMD-friendly).
+            // One early-exit probe over the pair; the counters charge
+            // both buckets whatever the probe finds.
             let found = self.table.contains_any(&[b1, b2], fingerprint);
             self.counters.record_lookup(2 * slots, 2);
             out.push(found);
@@ -556,55 +413,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn bfs_policy_preserves_membership_at_high_load() {
-        let mut cf = CuckooFilter::new(
-            CuckooConfig::new(1 << 8)
-                .with_seed(3)
-                .with_eviction_policy(EvictionPolicy::Bfs),
-        )
-        .unwrap();
-        let mut acknowledged = Vec::new();
-        for i in 0..1100u64 {
-            if cf.insert(&key(i)).is_ok() {
-                acknowledged.push(i);
-            }
-        }
-        assert!(
-            cf.load_factor() > 0.90,
-            "BFS should fill CF well past 90%, got {}",
-            cf.load_factor()
-        );
-        for &i in &acknowledged {
-            assert!(cf.contains(&key(i)), "item {i} lost under BFS eviction");
-        }
-    }
-
-    #[test]
-    fn bfs_failed_insert_writes_nothing() {
-        let mut cf = CuckooFilter::new(
-            CuckooConfig::new(4)
-                .with_seed(5)
-                .with_eviction_policy(EvictionPolicy::Bfs),
-        )
-        .unwrap();
-        let mut i = 0u64;
-        while cf.insert(&key(i)).is_ok() {
-            i += 1;
-            assert!(i < 100, "a 4-bucket table must fill up");
-        }
-        let before: Vec<u32> = (0..cf.table.buckets())
-            .flat_map(|b| (0..cf.table.slots_per_bucket()).map(move |s| (b, s)))
-            .map(|(b, s)| cf.table.get(b, s))
-            .collect();
-        // BFS is deterministic: the key that just failed fails again.
-        assert!(cf.insert(&key(i)).is_err());
-        let after: Vec<u32> = (0..cf.table.buckets())
-            .flat_map(|b| (0..cf.table.slots_per_bucket()).map(move |s| (b, s)))
-            .map(|(b, s)| cf.table.get(b, s))
-            .collect();
-        assert_eq!(before, after, "failed BFS insert must not mutate the table");
     }
 }

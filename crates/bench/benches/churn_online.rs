@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use vcf_baselines::{CuckooFilter, DaryCuckooFilter};
 use vcf_bench::{bench_keys, BENCH_SLOTS_LOG2};
-use vcf_core::{CuckooConfig, Dvcf, EvictionPolicy, ScalableVcf, VerticalCuckooFilter};
+use vcf_core::{CuckooConfig, Dvcf, ScalableVcf, VerticalCuckooFilter};
 use vcf_traits::{Filter, ScalableFilter};
 use vcf_workloads::{ChurnConfig, ChurnTrace, Op};
 
@@ -113,9 +113,8 @@ fn churn_benches(c: &mut Criterion) {
         &trace,
     );
 
-    // The insertion-intensive regime the BFS policy targets: churn at
-    // 95 % occupancy, random walk vs. breadth-first eviction on the
-    // same trace (Fig. 8's territory).
+    // The insertion-intensive regime: churn at 95 % occupancy, where
+    // kick chains lengthen (Fig. 8's territory).
     let trace95 = ChurnTrace::generate(ChurnConfig {
         working_set: slots * 95 / 100,
         rounds: 4096,
@@ -128,13 +127,6 @@ fn churn_benches(c: &mut Criterion) {
         "churn/load95",
         "VCF",
         VerticalCuckooFilter::new(config()).unwrap(),
-        &trace95,
-    );
-    bench_churn_group(
-        c,
-        "churn/load95",
-        "VCF_bfs",
-        VerticalCuckooFilter::new(config().with_eviction_policy(EvictionPolicy::Bfs)).unwrap(),
         &trace95,
     );
 

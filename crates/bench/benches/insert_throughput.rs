@@ -4,21 +4,16 @@
 //! 95 % (the insertion-intensive regime where VCF's extra candidates pay
 //! off) — plus an `insert/batch` group that pits the pipelined
 //! [`Filter::insert_batch`] path (hash + prefetch a window up front)
-//! against the plain serial loop on the same key set. `VCF_bfs` rows run
-//! the same fill under [`EvictionPolicy::Bfs`].
+//! against the plain serial loop on the same key set.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use vcf_baselines::{BloomConfig, BloomFilter, CuckooFilter, DaryCuckooFilter};
 use vcf_bench::{bench_keys, BATCH_SLOTS_LOG2, BENCH_SLOTS_LOG2};
-use vcf_core::{CuckooConfig, Dvcf, EvictionPolicy, KVcf, VerticalCuckooFilter};
+use vcf_core::{CuckooConfig, Dvcf, KVcf, VerticalCuckooFilter};
 use vcf_traits::Filter;
 
 fn config() -> CuckooConfig {
     CuckooConfig::with_total_slots(1 << BENCH_SLOTS_LOG2).with_seed(42)
-}
-
-fn bfs_config() -> CuckooConfig {
-    config().with_eviction_policy(EvictionPolicy::Bfs)
 }
 
 fn bench_fill<F: Filter>(
@@ -85,52 +80,6 @@ fn bench_batch<F: Filter>(c: &mut Criterion, label: &str, fraction: f64, make: i
     g.finish();
 }
 
-/// Table size for the `insert/bulk_build` group: `2^20` slots is big
-/// enough that the sort-by-bucket sweep's sequential bucket walk beats
-/// the pointer-chasing batch path, small enough to fill to 95 % many
-/// times per sample.
-const BULK_SLOTS_LOG2: u32 = 20;
-
-/// Sort-by-bucket bulk construction against the pipelined batch insert
-/// on the same keys at 95 % fill — the insertion-intensive regime the
-/// paper targets. `VCF_batch` is the baseline [`Filter::build_from_iter`]
-/// must beat (acceptance: ≥2x).
-fn bench_bulk_build(c: &mut Criterion) {
-    let slots = 1usize << BULK_SLOTS_LOG2;
-    let n = (slots as f64 * 0.95) as usize;
-    let keys = bench_keys(n, 7);
-    let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-    let make = || {
-        VerticalCuckooFilter::new(
-            CuckooConfig::with_total_slots(1 << BULK_SLOTS_LOG2).with_seed(42),
-        )
-        .unwrap()
-    };
-    let mut g = c.benchmark_group("insert/bulk_build");
-    g.throughput(criterion::Throughput::Elements(n as u64));
-    g.bench_function(BenchmarkId::from_parameter("VCF_bulk"), |b| {
-        b.iter_batched(
-            make,
-            |mut filter| {
-                std::hint::black_box(filter.build_from_iter(&mut refs.iter().copied()));
-                filter
-            },
-            BatchSize::LargeInput,
-        );
-    });
-    g.bench_function(BenchmarkId::from_parameter("VCF_batch"), |b| {
-        b.iter_batched(
-            make,
-            |mut filter| {
-                std::hint::black_box(filter.insert_batch(&refs));
-                filter
-            },
-            BatchSize::LargeInput,
-        );
-    });
-    g.finish();
-}
-
 fn insert_benches(c: &mut Criterion) {
     for &(group, fraction) in &[
         ("insert/fill50", 0.5),
@@ -142,9 +91,6 @@ fn insert_benches(c: &mut Criterion) {
         });
         bench_fill(c, group, "VCF", fraction, || {
             VerticalCuckooFilter::new(config()).unwrap()
-        });
-        bench_fill(c, group, "VCF_bfs", fraction, || {
-            VerticalCuckooFilter::new(bfs_config()).unwrap()
         });
         bench_fill(c, group, "IVCF3", fraction, || {
             VerticalCuckooFilter::with_mask_ones(config(), 3).unwrap()
@@ -173,8 +119,6 @@ fn insert_benches(c: &mut Criterion) {
     bench_batch(c, "KVCF_k4", 0.5, move || {
         KVcf::new(batch_config(), 4).unwrap()
     });
-
-    bench_bulk_build(c);
 }
 
 criterion_group! {

@@ -7,7 +7,7 @@ use vcf_baselines::{
     BloomConfig, BloomFilter, CuckooFilter, DaryCuckooFilter, QuotientFilter, VacuumFilter,
 };
 use vcf_bench::{bench_keys, BENCH_SLOTS_LOG2, LOADED_FRACTION};
-use vcf_core::{CuckooConfig, Dvcf, KVcf, KernelKind, VerticalCuckooFilter};
+use vcf_core::{CuckooConfig, Dvcf, KVcf, VerticalCuckooFilter};
 use vcf_traits::Filter;
 
 fn config() -> CuckooConfig {
@@ -105,43 +105,6 @@ fn bench_batch<F: Filter>(c: &mut Criterion, label: &str, filter: F) {
     g.finish();
 }
 
-/// The batched-lookup workload with the bucket kernel pinned per row:
-/// `VCF_swar` forces the portable fallback, while a `VCF_avx2` /
-/// `VCF_neon` row appears only where runtime detection grants the
-/// vector kernel — the pair isolates the SIMD speedup on identical
-/// tables.
-fn bench_batch_simd(c: &mut Criterion) {
-    const BATCH: usize = 256;
-    let slots = 1usize << BATCH_SLOTS_LOG2;
-    let n = (slots as f64 * 0.95) as usize;
-    let keys = bench_keys(n, 7);
-    let aliens = bench_keys(n, 0xa11e4);
-    let mut filter = loaded(VerticalCuckooFilter::new(batch_config()).unwrap(), &keys);
-
-    let mixed: Vec<&[u8]> = keys
-        .iter()
-        .zip(aliens.iter())
-        .flat_map(|(hit, miss)| [hit.as_slice(), miss.as_slice()])
-        .collect();
-    let batches: Vec<&[&[u8]]> = mixed.chunks_exact(BATCH).collect();
-
-    for kind in [KernelKind::Swar, KernelKind::Avx2, KernelKind::Neon] {
-        if filter.set_kernel(kind) != kind {
-            continue;
-        }
-        let mut g = c.benchmark_group("lookup/batch_simd");
-        g.throughput(Throughput::Elements(BATCH as u64));
-        g.bench_function(BenchmarkId::from_parameter(format!("VCF_{kind}")), |b| {
-            let mut i = 0usize;
-            b.iter(|| {
-                i = (i + 1) % batches.len();
-                std::hint::black_box(filter.contains_batch(batches[i]))
-            });
-        });
-        g.finish();
-    }
-}
-
 fn lookup_benches(c: &mut Criterion) {
     bench_lookups(c, "CF", CuckooFilter::new(config()).unwrap());
     bench_lookups(c, "VCF", VerticalCuckooFilter::new(config()).unwrap());
@@ -183,8 +146,6 @@ fn lookup_benches(c: &mut Criterion) {
         "ShardedVCF",
         vcf_core::ShardedVcf::new(batch_config(), 3).unwrap(),
     );
-
-    bench_batch_simd(c);
 }
 
 criterion_group! {

@@ -120,7 +120,7 @@ mod tests {
         let output = "\
    Compiling vcf-bench v0.1.0\n\
 insert/fill50/CF                       time: [1.2345 ms] thrpt: [6.6363 Melem/s]\n\
-insert/fill95/VCF_bfs                  time: [987.6540 µs]\n\
+insert/fill95/IVCF3                    time: [987.6540 µs]\n\
 random chatter without a time bracket\n\
 insert/batch/KVCF_k4_loop              time: [2.0000 s]\n";
         let lines = parse_report(output);
@@ -132,7 +132,7 @@ insert/batch/KVCF_k4_loop              time: [2.0000 s]\n";
                     median_ns: 1.2345e6
                 },
                 BenchLine {
-                    id: "insert/fill95/VCF_bfs".into(),
+                    id: "insert/fill95/IVCF3".into(),
                     median_ns: 987.654e3
                 },
                 BenchLine {

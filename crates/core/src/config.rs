@@ -3,26 +3,6 @@
 use vcf_hash::HashKind;
 use vcf_traits::BuildError;
 
-/// How a cuckoo-family filter resolves an insertion whose candidate
-/// buckets are all full.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum EvictionPolicy {
-    /// The paper's Algorithm 1: evict a uniformly random victim from a
-    /// random full candidate bucket and walk until a hole is found or
-    /// `max_kicks` relocations have been attempted. One table write per
-    /// kick; failed walks are rolled back from an undo log.
-    #[default]
-    RandomWalk,
-    /// Breadth-first search over the relocation graph (Eppstein-style):
-    /// expand candidate buckets level by level — Theorem 1's coset
-    /// closure makes every victim's alternate set exact — until an empty
-    /// slot is found or the bounded frontier is exhausted, then execute
-    /// the shortest path back-to-front. The path is validated before the
-    /// first write, so no undo log is needed and a successful insert
-    /// performs exactly `path length + 1` writes.
-    Bfs,
-}
-
 /// Geometry and policy parameters for a cuckoo-family filter, written in
 /// the paper's vocabulary: `m` buckets × `b` slots, `f`-bit fingerprints,
 /// `MAX` relocation threshold.
@@ -61,9 +41,6 @@ pub struct CuckooConfig {
     /// Seed for the filter's victim-selection PRNG; experiments are
     /// reproducible for a fixed seed.
     pub seed: u64,
-    /// How full-candidate conflicts are resolved; the paper's random walk
-    /// by default.
-    pub eviction: EvictionPolicy,
 }
 
 impl CuckooConfig {
@@ -77,7 +54,6 @@ impl CuckooConfig {
             max_kicks: 500,
             hash: HashKind::Fnv1a,
             seed: 0x5eed_cafe_f00d_d00d,
-            eviction: EvictionPolicy::RandomWalk,
         }
     }
 
@@ -122,13 +98,6 @@ impl CuckooConfig {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the eviction policy used when all candidate buckets are full.
-    #[must_use]
-    pub fn with_eviction_policy(mut self, eviction: EvictionPolicy) -> Self {
-        self.eviction = eviction;
         self
     }
 
@@ -221,23 +190,11 @@ mod tests {
             .with_fingerprint_bits(10)
             .with_max_kicks(0)
             .with_hash(HashKind::Djb2)
-            .with_seed(1)
-            .with_eviction_policy(EvictionPolicy::Bfs);
+            .with_seed(1);
         assert_eq!(c.slots_per_bucket, 2);
         assert_eq!(c.fingerprint_bits, 10);
         assert_eq!(c.max_kicks, 0);
         assert_eq!(c.hash, HashKind::Djb2);
         assert_eq!(c.seed, 1);
-        assert_eq!(c.eviction, EvictionPolicy::Bfs);
-    }
-
-    #[test]
-    fn eviction_defaults_to_random_walk() {
-        assert_eq!(
-            CuckooConfig::new(8).eviction,
-            EvictionPolicy::RandomWalk,
-            "random walk must stay the default policy"
-        );
-        assert_eq!(EvictionPolicy::default(), EvictionPolicy::RandomWalk);
     }
 }

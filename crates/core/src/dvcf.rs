@@ -1,9 +1,7 @@
 //! The Differentiated Vertical Cuckoo Filter (Section IV-B).
 
 use crate::bitmask::MaskPair;
-use crate::bulk::{self, BulkHost};
-use crate::config::{CuckooConfig, EvictionPolicy};
-use crate::evict;
+use crate::config::CuckooConfig;
 use crate::key;
 use crate::vertical::VerticalParams;
 use rand::rngs::SmallRng;
@@ -46,7 +44,6 @@ pub struct Dvcf {
     params: VerticalParams,
     hash: HashKind,
     max_kicks: u32,
-    eviction: EvictionPolicy,
     /// Interval bounds `[lo, hi]` (inclusive) for the four-candidate rule.
     interval_lo: u32,
     interval_hi: u32,
@@ -85,7 +82,6 @@ impl Dvcf {
             params,
             hash: config.hash,
             max_kicks: config.max_kicks,
-            eviction: config.eviction,
             interval_lo: half - delta_t,
             interval_hi: half.saturating_add(delta_t).min((t - 1) as u32),
             rng: SmallRng::seed_from_u64(config.seed),
@@ -157,22 +153,9 @@ impl Dvcf {
         }
     }
 
-    /// Places an already-hashed item under the configured policy.
+    /// Places an already-hashed item: Algorithm 4's random walk, with
+    /// rollback-on-failure and bucket accesses counted as they happen.
     fn insert_prehashed(
-        &mut self,
-        fingerprint: u32,
-        cands: [usize; 4],
-        len: usize,
-    ) -> Result<(), InsertError> {
-        match self.eviction {
-            EvictionPolicy::RandomWalk => self.insert_random_walk(fingerprint, cands, len),
-            EvictionPolicy::Bfs => self.insert_bfs(fingerprint, cands, len),
-        }
-    }
-
-    /// Algorithm 4's random walk, with rollback-on-failure and bucket
-    /// accesses counted as they happen.
-    fn insert_random_walk(
         &mut self,
         fingerprint: u32,
         cands: [usize; 4],
@@ -245,137 +228,10 @@ impl Dvcf {
         self.counters.add_failed_insert();
         Err(InsertError::Full { kicks })
     }
-
-    /// BFS policy: each expanded victim gets the per-fingerprint interval
-    /// judgment of Algorithm 4 — three vertical alternates inside `In₁`,
-    /// the single CF alternate outside — so the searched graph is exactly
-    /// the graph the random walk samples. No undo log: nothing is written
-    /// unless a complete path was found.
-    fn insert_bfs(
-        &mut self,
-        fingerprint: u32,
-        cands: [usize; 4],
-        len: usize,
-    ) -> Result<(), InsertError> {
-        use core::cell::Cell;
-
-        let slots = self.table.slots_per_bucket();
-        let probes = Cell::new(0u64);
-        let accesses = Cell::new(0u64);
-        let max_nodes = if self.max_kicks == 0 {
-            0
-        } else {
-            (self.max_kicks as usize).max(8)
-        };
-
-        let table = &self.table;
-        let params = &self.params;
-        let hash = self.hash;
-        let counters = &self.counters;
-        let interval = self.interval_lo..=self.interval_hi;
-        let path = evict::search(
-            cands[..len].iter().map(|&b| (b, fingerprint)),
-            max_nodes,
-            |bucket| {
-                probes.set(probes.get() + slots as u64);
-                accesses.set(accesses.get() + 1);
-                table.first_empty_slot(bucket)
-            },
-            |bucket, out| {
-                accesses.set(accesses.get() + 1);
-                for slot in 0..slots {
-                    let resident = table.get(bucket, slot);
-                    let hfp = hash.hash_fingerprint(resident);
-                    counters.add_hashes(1);
-                    if interval.contains(&resident) {
-                        for &alt in &params.alternates(bucket, hfp) {
-                            out.push((slot, alt, resident));
-                        }
-                    } else {
-                        out.push((slot, params.cf_alternate(bucket, hfp), resident));
-                    }
-                }
-            },
-        );
-
-        let Some(path) = path else {
-            self.counters.record_insert(probes.get(), accesses.get());
-            self.counters.add_failed_insert();
-            return Err(InsertError::Full { kicks: 0 });
-        };
-
-        let kicks = path.kicks();
-        let mut dest = path.empty_slot;
-        for step in path.steps[1..].iter().rev() {
-            self.table.set(step.bucket, dest, step.value);
-            dest = step.slot_in_parent;
-        }
-        self.table.set(path.steps[0].bucket, dest, fingerprint);
-        self.counters.add_kicks(kicks);
-        self.counters
-            .record_insert(probes.get(), accesses.get() + kicks + 1);
-        Ok(())
-    }
-}
-
-impl BulkHost for Dvcf {
-    /// `(fingerprint, candidate buckets, candidate count)` — two or four
-    /// candidates depending on the interval judgment, stored narrow.
-    type Key = (u32, [u32; 4], u32);
-
-    fn bulk_buckets(&self) -> usize {
-        self.table.buckets()
-    }
-
-    fn bulk_key(&self, item: &[u8]) -> Self::Key {
-        let (fingerprint, b1) = self.key_of(item);
-        let hfp = self.hash.hash_fingerprint(fingerprint);
-        let (cands, len) = self.candidate_list(fingerprint, b1, hfp);
-        (fingerprint, cands.map(|b| b as u32), len as u32)
-    }
-
-    fn bulk_candidates(&self, key: &Self::Key) -> usize {
-        key.2 as usize
-    }
-
-    fn bulk_candidate(&self, key: &Self::Key, e: usize) -> usize {
-        key.1[e] as usize
-    }
-
-    fn bulk_prefetch(&self, bucket: usize) {
-        self.table.prefetch_bucket(bucket);
-    }
-
-    fn bulk_try_place(&mut self, key: &Self::Key, e: usize) -> bool {
-        self.table.try_insert(key.1[e] as usize, key.0).is_some()
-    }
-
-    fn bulk_place_run(&mut self, bucket: usize, keys: &[Self::Key]) -> usize {
-        let mut fps = [0u64; vcf_table::MAX_BUCKET_SLOTS];
-        let take = keys.len().min(fps.len());
-        for (fp, key) in fps.iter_mut().zip(&keys[..take]) {
-            *fp = u64::from(key.0);
-        }
-        self.table.fill(bucket, &fps[..take])
-    }
-
-    fn bulk_record_keys(&self, n: u64) {
-        self.counters.add_hashes(2 * n);
-    }
-
-    fn bulk_record_swept(&self, items: u64, bucket_accesses: u64) {
-        let slots = self.table.slots_per_bucket() as u64;
-        self.counters
-            .record_inserts(items, bucket_accesses * slots, bucket_accesses);
-    }
-
-    fn bulk_insert(&mut self, key: &Self::Key) -> Result<(), InsertError> {
-        self.insert_prehashed(key.0, key.1.map(|b| b as usize), key.2 as usize)
-    }
 }
 
 impl Filter for Dvcf {
-    /// Algorithm 4 under the configured eviction policy.
+    /// Algorithm 4.
     fn insert(&mut self, item: &[u8]) -> Result<(), InsertError> {
         let (fingerprint, b1) = self.key_of(item);
         let hfp = self.hash.hash_fingerprint(fingerprint);
@@ -409,15 +265,6 @@ impl Filter for Dvcf {
             }
         }
         out
-    }
-
-    /// Sort-by-bucket bulk construction (see [`crate::bulk`]); the
-    /// two-candidate items drop to the cleanup pass after round 1.
-    fn build_from_iter(
-        &mut self,
-        items: &mut dyn Iterator<Item = &[u8]>,
-    ) -> Vec<Result<(), InsertError>> {
-        bulk::build_from_iter(self, items)
     }
 
     /// Algorithm 5.
@@ -455,8 +302,8 @@ impl Filter for Dvcf {
         let slots = self.table.slots_per_bucket() as u64;
         let mut out = Vec::with_capacity(items.len());
         for &(fingerprint, cands, len) in &keys {
-            // One multi-bucket probe over the whole candidate list
-            // (gather-compare under AVX2; no per-bucket early exit).
+            // One early-exit probe over the candidate list; the counters
+            // charge every candidate whatever the probe finds.
             let found = self.table.contains_any(&cands[..len], fingerprint);
             self.counters.record_lookup(len as u64 * slots, len as u64);
             out.push(found);
@@ -649,30 +496,6 @@ mod tests {
         assert_eq!(serial.stats().kicks, batched.stats().kicks);
         for k in &refs {
             assert_eq!(serial.contains(k), batched.contains(k));
-        }
-    }
-
-    #[test]
-    fn bfs_policy_preserves_membership_and_load() {
-        let mut f = Dvcf::with_r(
-            CuckooConfig::new(1 << 8)
-                .with_seed(17)
-                .with_eviction_policy(EvictionPolicy::Bfs),
-            0.5,
-        )
-        .unwrap();
-        let mut acknowledged = Vec::new();
-        for i in 0..f.capacity() as u64 {
-            if f.insert(&key(i)).is_ok() {
-                acknowledged.push(i);
-            }
-        }
-        assert!(
-            acknowledged.len() as f64 / f.capacity() as f64 > 0.9,
-            "BFS DVCF(0.5) load too low"
-        );
-        for i in acknowledged {
-            assert!(f.contains(&key(i)), "item {i} lost under BFS eviction");
         }
     }
 }

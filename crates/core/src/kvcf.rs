@@ -1,9 +1,7 @@
 //! The generalized k-VCF (Section III-C): `k ≥ 2` candidate buckets with
 //! per-slot mark bits.
 
-use crate::bulk::{self, BulkHost};
-use crate::config::{CuckooConfig, EvictionPolicy};
-use crate::evict;
+use crate::config::CuckooConfig;
 use crate::key;
 use crate::vertical::{masked_candidate, masked_relocate};
 use rand::rngs::SmallRng;
@@ -55,7 +53,6 @@ pub struct KVcf {
     masks: Vec<u64>,
     hash: HashKind,
     max_kicks: u32,
-    eviction: EvictionPolicy,
     seed: u64,
     index_mask: u64,
     rng: SmallRng,
@@ -120,7 +117,6 @@ impl KVcf {
             masks,
             hash: config.hash,
             max_kicks: config.max_kicks,
-            eviction: config.eviction,
             seed: config.seed,
             index_mask: config.buckets as u64 - 1,
             rng: SmallRng::seed_from_u64(config.seed),
@@ -198,22 +194,10 @@ impl KVcf {
         masked_relocate(bg, hfp, self.masks[g], self.masks[e], self.index_mask)
     }
 
-    /// Places an already-hashed item under the configured policy.
+    /// Places an already-hashed item: the paper's random-walk relocation
+    /// over Equ. 7, with rollback-on-failure and bucket accesses counted
+    /// as they happen.
     fn insert_prehashed(
-        &mut self,
-        fingerprint: u32,
-        b1: usize,
-        hfp: u64,
-    ) -> Result<(), InsertError> {
-        match self.eviction {
-            EvictionPolicy::RandomWalk => self.insert_random_walk(fingerprint, b1, hfp),
-            EvictionPolicy::Bfs => self.insert_bfs(fingerprint, b1, hfp),
-        }
-    }
-
-    /// The paper's random-walk relocation over Equ. 7, with
-    /// rollback-on-failure and bucket accesses counted as they happen.
-    fn insert_random_walk(
         &mut self,
         fingerprint: u32,
         b1: usize,
@@ -315,159 +299,6 @@ impl KVcf {
         self.counters.add_failed_insert();
         Err(InsertError::Full { kicks })
     }
-
-    /// BFS policy over the Theorem-2 relocation graph: every stored mark
-    /// tells the search which candidate its slot is (`g`), so Equ. 7
-    /// enumerates the victim's `k − 1` exact alternates — no mark
-    /// ambiguity, no undo log, writes only on a validated path.
-    fn insert_bfs(&mut self, fingerprint: u32, b1: usize, hfp: u64) -> Result<(), InsertError> {
-        use core::cell::Cell;
-
-        let k = self.k();
-        debug_assert!(k <= self.masks.len(), "at most 4 candidate masks");
-        let slots = self.table.slots_per_bucket();
-        let probes = Cell::new(0u64);
-        let accesses = Cell::new(0u64);
-        // Table V regime (`max_kicks == 0`): only the candidate scan —
-        // the roots — may be inspected for room.
-        let max_nodes = if self.max_kicks == 0 {
-            0
-        } else {
-            (self.max_kicks as usize).max(8)
-        };
-
-        let table = &self.table;
-        let masks = &self.masks;
-        let index_mask = self.index_mask;
-        let hash = self.hash;
-        let counters = &self.counters;
-        let relocate = |bg: usize, vh: u64, g: usize, e: usize| {
-            masked_relocate(bg, vh, masks[g], masks[e], index_mask)
-        };
-        let path = evict::search(
-            (0..k).map(|e| {
-                (
-                    masked_candidate(b1, hfp, masks[e], index_mask),
-                    MarkedEntry {
-                        fingerprint,
-                        mark: e as u8,
-                    },
-                )
-            }),
-            max_nodes,
-            |bucket| {
-                probes.set(probes.get() + slots as u64);
-                accesses.set(accesses.get() + 1);
-                table.first_empty_slot(bucket)
-            },
-            |bucket, out| {
-                accesses.set(accesses.get() + 1);
-                for slot in 0..slots {
-                    let Some(victim) = table.get(bucket, slot) else {
-                        // Expansion visits buckets that were full when
-                        // enqueued; a slot freed since has no victim.
-                        continue;
-                    };
-                    let victim_hash = hash.hash_fingerprint(victim.fingerprint);
-                    counters.add_hashes(1);
-                    let g = usize::from(victim.mark);
-                    for e in (0..k).filter(|&e| e != g) {
-                        out.push((
-                            slot,
-                            relocate(bucket, victim_hash, g, e),
-                            MarkedEntry {
-                                fingerprint: victim.fingerprint,
-                                mark: e as u8,
-                            },
-                        ));
-                    }
-                }
-            },
-        );
-
-        let Some(path) = path else {
-            self.counters.record_insert(probes.get(), accesses.get());
-            self.counters.add_failed_insert();
-            return Err(InsertError::Full { kicks: 0 });
-        };
-
-        let kicks = path.kicks();
-        let mut dest = path.empty_slot;
-        for step in path.steps[1..].iter().rev() {
-            self.table.swap(step.bucket, dest, step.value);
-            dest = step.slot_in_parent;
-        }
-        self.table
-            .swap(path.steps[0].bucket, dest, path.steps[0].value);
-        self.counters.add_kicks(kicks);
-        self.counters
-            .record_insert(probes.get(), accesses.get() + kicks + 1);
-        Ok(())
-    }
-}
-
-impl BulkHost for KVcf {
-    /// `(fingerprint, B1, hash(η))` — candidates derive by Equ. 6.
-    type Key = (u32, u32, u64);
-
-    fn bulk_buckets(&self) -> usize {
-        self.table.buckets()
-    }
-
-    fn bulk_key(&self, item: &[u8]) -> Self::Key {
-        let (fingerprint, b1) = self.key_of(item);
-        let hfp = self.hash.hash_fingerprint(fingerprint);
-        (fingerprint, b1 as u32, hfp)
-    }
-
-    fn bulk_candidates(&self, _key: &Self::Key) -> usize {
-        self.k()
-    }
-
-    fn bulk_candidate(&self, key: &Self::Key, e: usize) -> usize {
-        self.candidate(key.1 as usize, key.2, e)
-    }
-
-    fn bulk_prefetch(&self, bucket: usize) {
-        self.table.prefetch_bucket(bucket);
-    }
-
-    fn bulk_try_place(&mut self, key: &Self::Key, e: usize) -> bool {
-        let bucket = self.candidate(key.1 as usize, key.2, e);
-        let entry = MarkedEntry {
-            fingerprint: key.0,
-            mark: e as u8,
-        };
-        self.table.try_insert(bucket, entry).is_some()
-    }
-
-    fn bulk_place_run(&mut self, bucket: usize, keys: &[Self::Key]) -> usize {
-        // A run is grouped by primary candidate, so every entry carries
-        // mark 0 (Theorem 2's e = 0 coset).
-        let mut entries = [MarkedEntry {
-            fingerprint: 0,
-            mark: 0,
-        }; vcf_table::MAX_BUCKET_SLOTS];
-        let take = keys.len().min(entries.len());
-        for (entry, key) in entries.iter_mut().zip(&keys[..take]) {
-            entry.fingerprint = key.0;
-        }
-        self.table.fill(bucket, &entries[..take])
-    }
-
-    fn bulk_record_keys(&self, n: u64) {
-        self.counters.add_hashes(2 * n);
-    }
-
-    fn bulk_record_swept(&self, items: u64, bucket_accesses: u64) {
-        let slots = self.table.slots_per_bucket() as u64;
-        self.counters
-            .record_inserts(items, bucket_accesses * slots, bucket_accesses);
-    }
-
-    fn bulk_insert(&mut self, key: &Self::Key) -> Result<(), InsertError> {
-        self.insert_prehashed(key.0, key.1 as usize, key.2)
-    }
 }
 
 impl Filter for KVcf {
@@ -502,15 +333,6 @@ impl Filter for KVcf {
             }
         }
         out
-    }
-
-    /// Sort-by-bucket bulk construction (see [`crate::bulk`]); the mark
-    /// stored with each placement is the round index `e`.
-    fn build_from_iter(
-        &mut self,
-        items: &mut dyn Iterator<Item = &[u8]>,
-    ) -> Vec<Result<(), InsertError>> {
-        bulk::build_from_iter(self, items)
     }
 
     fn contains(&self, item: &[u8]) -> bool {
@@ -556,9 +378,9 @@ impl Filter for KVcf {
         let mut buckets = Vec::with_capacity(k);
         let mut entries = Vec::with_capacity(k);
         for &(fingerprint, b1, hfp) in &keys {
-            // One multi-bucket probe over all k candidates, each with its
-            // own (fingerprint, mark) pattern — the per-element pattern
-            // form of the AVX2 gather-compare.
+            // One early-exit probe over all k candidates, each with its
+            // own (fingerprint, mark) pattern; the counters charge every
+            // candidate whatever the probe finds.
             buckets.clear();
             entries.clear();
             for e in 0..k {
@@ -789,43 +611,5 @@ mod tests {
         for k in &refs {
             assert_eq!(serial.contains(k), batched.contains(k));
         }
-    }
-
-    #[test]
-    fn bfs_policy_preserves_membership() {
-        let mut f = KVcf::new(config().with_eviction_policy(EvictionPolicy::Bfs), 6).unwrap();
-        let mut acknowledged = Vec::new();
-        for i in 0..f.capacity() as u64 {
-            if f.insert(&key(i)).is_ok() {
-                acknowledged.push(i);
-            }
-        }
-        assert!(
-            acknowledged.len() as f64 / f.capacity() as f64 > 0.95,
-            "BFS k-VCF load too low"
-        );
-        for i in acknowledged {
-            assert!(f.contains(&key(i)), "item {i} lost under BFS eviction");
-        }
-    }
-
-    #[test]
-    fn bfs_zero_kicks_regime_never_relocates() {
-        let mut f = KVcf::new(
-            config()
-                .with_max_kicks(0)
-                .with_eviction_policy(EvictionPolicy::Bfs),
-            8,
-        )
-        .unwrap();
-        for i in 0..f.capacity() as u64 {
-            let _ = f.insert(&key(i));
-        }
-        assert_eq!(f.stats().kicks, 0, "MAX=0 must suppress BFS relocation");
-        assert!(
-            f.table_load_factor() > 0.90,
-            "α = {}",
-            f.table_load_factor()
-        );
     }
 }

@@ -51,14 +51,10 @@
 #![warn(missing_docs)]
 
 mod bitmask;
-/// Sort-by-bucket bulk construction shared by the cuckoo variants.
-pub mod bulk;
 mod concurrent;
 mod config;
 mod dvcf;
 mod dynamic;
-/// Breadth-first eviction-path search shared by the cuckoo variants.
-pub mod evict;
 mod kvcf;
 mod scalable;
 mod sharded;
@@ -71,7 +67,7 @@ mod vertical;
 
 pub use bitmask::MaskPair;
 pub use concurrent::ConcurrentVcf;
-pub use config::{CuckooConfig, EvictionPolicy};
+pub use config::CuckooConfig;
 pub use dvcf::Dvcf;
 pub use dynamic::DynamicVcf;
 pub use kvcf::KVcf;
@@ -81,10 +77,6 @@ pub use snapshot::SnapshotError;
 pub use tiered::{RotationStats, TieredFilter};
 pub use vcf::VerticalCuckooFilter;
 pub use vertical::{Candidates, VerticalParams};
-
-// Re-exported so benches and downstream crates can pin a probe kernel
-// (`set_kernel`) without depending on `vcf-table` directly.
-pub use vcf_table::KernelKind;
 
 pub(crate) mod key {
     //! Key-to-(fingerprint, index) derivation shared by the whole family.

@@ -66,9 +66,7 @@
 //! stalls without losing ground and resumes after the next growth.
 
 use crate::bitmask::MaskPair;
-use crate::bulk::{self, BulkHost};
-use crate::config::{CuckooConfig, EvictionPolicy};
-use crate::evict;
+use crate::config::CuckooConfig;
 use crate::key;
 use crate::vertical::{Candidates, VerticalParams};
 use core::cell::Cell;
@@ -83,9 +81,7 @@ use vcf_traits::{BuildError, Counters, Filter, InsertError, ScalableFilter, Stat
 /// and offsets never overlap.
 const PART_SHIFT: u32 = 32;
 
-/// Hard cap on partition bits (2^24 × base buckets ≥ billions of slots);
-/// also keeps every bucket id comfortably within `u32` for the bulk
-/// machinery.
+/// Hard cap on partition bits (2^24 × base buckets ≥ billions of slots).
 const DEFAULT_MAX_PART_BITS: u32 = 24;
 
 /// Active-segment load factor that triggers proactive growth: past this
@@ -94,7 +90,7 @@ const DEFAULT_MAX_PART_BITS: u32 = 24;
 const GROW_LOAD: f64 = 0.95;
 
 /// Target load factor a shrink-to-fit repack aims for — high enough to
-/// actually reclaim memory, low enough that the run-fill sweep almost
+/// actually reclaim memory, low enough that the placement loop almost
 /// always succeeds on the first attempt.
 const SHRINK_TARGET_LOAD: f64 = 0.85;
 
@@ -174,9 +170,7 @@ fn part_base(hfp: u64, part_bits: u32, base_bits: u32) -> usize {
 
 /// A borrowed placement engine over one segment's table: candidate
 /// resolution (coset lows + partition), first-fit placement, and the
-/// configured eviction policy. Also a [`BulkHost`], so shrink-to-fit can
-/// re-place drained fingerprints through the counting-sort + run-fill
-/// sweep of [`crate::bulk`].
+/// random-walk eviction.
 struct SegmentPlacer<'a> {
     table: &'a mut FingerprintTable,
     part_bits: u32,
@@ -186,8 +180,6 @@ struct SegmentPlacer<'a> {
     rng: &'a mut SmallRng,
     undo: &'a mut Vec<(usize, usize, u32)>,
     max_kicks: u32,
-    eviction: EvictionPolicy,
-    fingerprint_bits: u32,
     tally: PlaceTally,
 }
 
@@ -212,30 +204,17 @@ impl SegmentPlacer<'_> {
         false
     }
 
-    /// Full placement: candidate scan, then the configured eviction
-    /// policy. Relocation stays inside the fingerprint's partition —
-    /// the XOR offsets of [`VerticalParams::alternates`] live below
-    /// `base_bits`, so the partition bits of every bucket id are
-    /// preserved (Theorem-1 closure per partition).
+    /// Full placement: candidate scan, then Algorithm 1's random walk
+    /// with rollback-on-failure, mirroring the fixed-size VCF.
+    /// Relocation stays inside the fingerprint's partition — the XOR
+    /// offsets of [`VerticalParams::alternates`] live below `base_bits`,
+    /// so the partition bits of every bucket id are preserved (Theorem-1
+    /// closure per partition).
     fn place(&mut self, fp: u32, hfp: u64, lows: Candidates) -> Result<(), InsertError> {
         let buckets = self.segment_buckets(&lows, hfp);
-        self.place_resolved(fp, buckets)
-    }
-
-    /// Placement with the candidate buckets already resolved.
-    fn place_resolved(&mut self, fp: u32, buckets: [usize; 4]) -> Result<(), InsertError> {
         if self.try_place(fp, &buckets) {
             return Ok(());
         }
-        match self.eviction {
-            EvictionPolicy::RandomWalk => self.place_random_walk(fp, buckets),
-            EvictionPolicy::Bfs => self.place_bfs(fp, buckets),
-        }
-    }
-
-    /// Algorithm 1's random walk with rollback-on-failure, mirroring the
-    /// fixed-size VCF.
-    fn place_random_walk(&mut self, fp: u32, buckets: [usize; 4]) -> Result<(), InsertError> {
         let slots = self.table.slots_per_bucket();
         self.undo.clear();
         let mut current_fp = fp;
@@ -275,114 +254,6 @@ impl SegmentPlacer<'_> {
         self.undo.clear();
         self.tally.kicks.set(self.tally.kicks.get() + kicks);
         Err(InsertError::Full { kicks })
-    }
-
-    /// BFS policy: shortest relocation path, executed back-to-front;
-    /// nothing is written unless a complete path exists.
-    fn place_bfs(&mut self, fp: u32, roots: [usize; 4]) -> Result<(), InsertError> {
-        let slots = self.table.slots_per_bucket();
-        let max_nodes = if self.max_kicks == 0 {
-            0
-        } else {
-            (self.max_kicks as usize).max(8)
-        };
-        let path = {
-            let table = &*self.table;
-            let params = self.params;
-            let hash = self.hash;
-            let tally = &self.tally;
-            evict::search(
-                roots.iter().map(|&b| (b, fp)),
-                max_nodes,
-                |bucket| {
-                    tally.bump(slots as u64, 1);
-                    table.first_empty_slot(bucket)
-                },
-                |bucket, out| {
-                    tally.bump(0, 1);
-                    for slot in 0..slots {
-                        let resident = table.get(bucket, slot);
-                        let hfp = hash.hash_fingerprint(resident);
-                        tally.hashes.set(tally.hashes.get() + 1);
-                        for &alt in &params.alternates(bucket, hfp) {
-                            out.push((slot, alt, resident));
-                        }
-                    }
-                },
-            )
-        };
-        let Some(path) = path else {
-            return Err(InsertError::Full { kicks: 0 });
-        };
-        let kicks = path.kicks();
-        let mut dest = path.empty_slot;
-        for step in path.steps[1..].iter().rev() {
-            self.table.set(step.bucket, dest, step.value);
-            dest = step.slot_in_parent;
-        }
-        self.table.set(path.steps[0].bucket, dest, fp);
-        self.tally.kicks.set(self.tally.kicks.get() + kicks);
-        self.tally.bump(0, kicks + 1);
-        Ok(())
-    }
-}
-
-impl BulkHost for SegmentPlacer<'_> {
-    /// `(fingerprint, resolved candidate buckets in this segment)`.
-    type Key = (u32, [u32; 4]);
-
-    fn bulk_buckets(&self) -> usize {
-        self.table.buckets()
-    }
-
-    fn bulk_key(&self, item: &[u8]) -> Self::Key {
-        let (fp, low) = key::derive(
-            self.hash.hash64(item),
-            self.fingerprint_bits,
-            self.params.index_mask(),
-        );
-        let hfp = self.hash.hash_fingerprint(fp);
-        let lows = self.params.candidates(low, hfp);
-        (fp, self.segment_buckets(&lows, hfp).map(|b| b as u32))
-    }
-
-    fn bulk_candidates(&self, _key: &Self::Key) -> usize {
-        4
-    }
-
-    fn bulk_candidate(&self, key: &Self::Key, e: usize) -> usize {
-        debug_assert!(e < key.1.len());
-        key.1[e] as usize
-    }
-
-    fn bulk_prefetch(&self, bucket: usize) {
-        self.table.prefetch_bucket(bucket);
-    }
-
-    fn bulk_try_place(&mut self, key: &Self::Key, e: usize) -> bool {
-        debug_assert!(e < key.1.len());
-        self.table.try_insert(key.1[e] as usize, key.0).is_some()
-    }
-
-    fn bulk_place_run(&mut self, bucket: usize, keys: &[Self::Key]) -> usize {
-        let mut fps = [0u64; vcf_table::MAX_BUCKET_SLOTS];
-        let take = keys.len().min(fps.len());
-        for (fp, key) in fps.iter_mut().zip(&keys[..take]) {
-            *fp = u64::from(key.0);
-        }
-        self.table.fill(bucket, &fps[..take])
-    }
-
-    /// Maintenance rebuilds place *stored* fingerprints, not user items:
-    /// no per-op hash charge.
-    fn bulk_record_keys(&self, _n: u64) {}
-
-    /// See [`bulk_record_keys`](Self::bulk_record_keys): sweep work
-    /// during a repack stays out of the per-op counters.
-    fn bulk_record_swept(&self, _items: u64, _bucket_accesses: u64) {}
-
-    fn bulk_insert(&mut self, key: &Self::Key) -> Result<(), InsertError> {
-        self.place_resolved(key.0, key.1.map(|b| b as usize))
     }
 }
 
@@ -439,7 +310,6 @@ pub struct ScalableVcf {
     slots_per_bucket: usize,
     fingerprint_bits: u32,
     max_kicks: u32,
-    eviction: EvictionPolicy,
     seed: u64,
     max_part_bits: u32,
     migrate_budget: usize,
@@ -498,7 +368,6 @@ impl ScalableVcf {
             slots_per_bucket: config.slots_per_bucket,
             fingerprint_bits: config.fingerprint_bits,
             max_kicks: config.max_kicks,
-            eviction: config.eviction,
             seed: config.seed,
             max_part_bits: DEFAULT_MAX_PART_BITS.min(31 - base_bits),
             migrate_budget: 1,
@@ -725,8 +594,6 @@ impl ScalableVcf {
             rng,
             undo,
             max_kicks: self.max_kicks,
-            eviction: self.eviction,
-            fingerprint_bits: self.fingerprint_bits,
             tally: PlaceTally::default(),
         };
         let result = placer.place(fp, hfp, lows);
@@ -823,8 +690,6 @@ impl ScalableVcf {
             rng,
             undo,
             max_kicks: self.max_kicks,
-            eviction: self.eviction,
-            fingerprint_bits: self.fingerprint_bits,
             tally: PlaceTally::default(),
         };
         for slot in 0..slots {
@@ -859,8 +724,10 @@ impl ScalableVcf {
     }
 
     /// Attempts to re-pack every stored fingerprint into a single fresh
-    /// segment with `part_bits` partition bits, via the bulk run-fill
-    /// sweep. Commits only on complete success.
+    /// segment with `part_bits` partition bits, one placement per stored
+    /// fingerprint. Commits only when every fingerprint was placed. The
+    /// placement work is maintenance, so none of it reaches the per-op
+    /// counters.
     fn try_repack(&mut self, part_bits: u32) -> bool {
         let buckets = 1usize << (self.base_bits + part_bits);
         let Ok(mut table) =
@@ -868,17 +735,12 @@ impl ScalableVcf {
         else {
             return false;
         };
-        let mut keys: Vec<(u32, [u32; 4])> = Vec::with_capacity(self.len());
-        for seg in &self.segments {
-            for (bucket, _slot, fp) in seg.table.iter() {
-                let hfp = self.hash.hash_fingerprint(fp);
-                let lows = self.params.candidates(bucket, hfp);
-                let part = part_base(hfp, part_bits, self.base_bits);
-                keys.push((fp, lows.buckets.map(|low| (low | part) as u32)));
-            }
-        }
         let Self {
-            params, rng, undo, ..
+            segments,
+            params,
+            rng,
+            undo,
+            ..
         } = self;
         let mut placer = SegmentPlacer {
             table: &mut table,
@@ -889,21 +751,25 @@ impl ScalableVcf {
             rng,
             undo,
             max_kicks: self.max_kicks,
-            eviction: self.eviction,
-            fingerprint_bits: self.fingerprint_bits,
             tally: PlaceTally::default(),
         };
-        let results = bulk::build_from_keys(&mut placer, &keys);
-        if results.iter().all(Result::is_ok) {
-            self.segments = vec![Segment {
-                table,
-                part_bits,
-                drained: 0,
-            }];
-            true
-        } else {
-            false
+        for seg in segments.iter() {
+            for (bucket, _slot, fp) in seg.table.iter() {
+                let hfp = self.hash.hash_fingerprint(fp);
+                // Theorem 1: the coset lows follow from the resident
+                // bucket alone, as in the migration drain.
+                let lows = params.candidates(bucket, hfp);
+                if placer.place(fp, hfp, lows).is_err() {
+                    return false;
+                }
+            }
         }
+        *segments = vec![Segment {
+            table,
+            part_bits,
+            drained: 0,
+        }];
+        true
     }
 
     /// Re-packs the chain into the smallest single segment that holds
@@ -1285,6 +1151,30 @@ mod tests {
     }
 
     #[test]
+    fn shrink_to_fit_repack_is_not_charged_to_per_op_counters() {
+        let mut f = small();
+        for i in 0..20_000u64 {
+            f.insert(&key(i)).unwrap();
+        }
+        for i in 1_000..20_000u64 {
+            assert!(f.delete(&key(i)));
+        }
+        let before = f.stats();
+        assert!(f.shrink_to_fit(), "shrink must find a smaller geometry");
+        let after = f.stats();
+        assert_eq!(after, before, "repack work leaked into per-op stats");
+        assert_eq!(
+            after.hash_computations,
+            2 * after.inserts.calls + after.kicks
+        );
+        assert_eq!(f.segments(), 1);
+        assert_eq!(f.len(), 1_000);
+        for i in 0..1_000u64 {
+            assert!(f.contains(&key(i)), "survivor {i} lost by the repack");
+        }
+    }
+
+    #[test]
     fn shrink_on_minimal_filter_is_a_noop() {
         let mut f = small();
         f.insert(b"one").unwrap();
@@ -1351,22 +1241,6 @@ mod tests {
         let batched = f.contains_batch(&refs);
         for (q, got) in refs.iter().zip(&batched) {
             assert_eq!(*got, f.contains(q));
-        }
-    }
-
-    #[test]
-    fn bfs_eviction_policy_grows_too() {
-        let mut f = ScalableVcf::new(
-            CuckooConfig::new(1 << 6)
-                .with_seed(9)
-                .with_eviction_policy(EvictionPolicy::Bfs),
-        )
-        .unwrap();
-        for i in 0..5_000u64 {
-            f.insert(&key(i)).unwrap();
-        }
-        for i in 0..5_000u64 {
-            assert!(f.contains(&key(i)), "item {i} lost under BFS growth");
         }
     }
 

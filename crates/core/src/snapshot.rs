@@ -25,7 +25,7 @@
 //! ```
 
 use crate::bitmask::MaskPair;
-use crate::config::{CuckooConfig, EvictionPolicy};
+use crate::config::CuckooConfig;
 use crate::kvcf::KVcf;
 use crate::vcf::VerticalCuckooFilter;
 use vcf_hash::HashKind;
@@ -197,9 +197,6 @@ impl VerticalCuckooFilter {
             max_kicks,
             hash,
             seed,
-            // Snapshots record geometry, not policy; restored filters
-            // start on the default policy.
-            eviction: EvictionPolicy::RandomWalk,
         };
         config.validate()?;
         let masks = MaskPair::with_ones(mask_ones, fingerprint_bits)?;
@@ -290,9 +287,6 @@ impl KVcf {
             max_kicks,
             hash,
             seed,
-            // Snapshots record geometry, not policy; restored filters
-            // start on the default policy.
-            eviction: EvictionPolicy::RandomWalk,
         };
         config.validate()?;
         let mut filter = KVcf::new(config, k)?;

@@ -268,15 +268,6 @@ impl<G: FrozenSet> Filter for TieredFilter<G> {
         results
     }
 
-    fn build_from_iter(
-        &mut self,
-        items: &mut dyn Iterator<Item = &[u8]>,
-    ) -> Vec<Result<(), InsertError>> {
-        let results = self.hot.build_from_iter(items);
-        self.advance(self.rotate_budget.saturating_mul(results.len()));
-        results
-    }
-
     // lint: hot-path
     fn contains(&self, item: &[u8]) -> bool {
         if self.hot.contains(item) {

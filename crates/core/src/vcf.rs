@@ -1,15 +1,13 @@
 //! The Vertical Cuckoo Filter (Algorithms 1–3) — also covers IVCF.
 
 use crate::bitmask::MaskPair;
-use crate::bulk::{self, BulkHost};
-use crate::config::{CuckooConfig, EvictionPolicy};
-use crate::evict;
+use crate::config::CuckooConfig;
 use crate::key;
 use crate::vertical::{Candidates, VerticalParams};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use vcf_hash::HashKind;
-use vcf_table::{FingerprintTable, KernelKind};
+use vcf_table::FingerprintTable;
 use vcf_traits::{BuildError, Counters, Filter, InsertError, Stats};
 
 /// The Vertical Cuckoo Filter of Section III — and, by choosing the
@@ -66,7 +64,6 @@ pub struct VerticalCuckooFilter {
     masks: MaskPair,
     hash: HashKind,
     max_kicks: u32,
-    eviction: EvictionPolicy,
     seed: u64,
     rng: SmallRng,
     /// Undo log for the current eviction walk: `(bucket, slot, previous
@@ -123,7 +120,6 @@ impl VerticalCuckooFilter {
             masks,
             hash: config.hash,
             max_kicks: config.max_kicks,
-            eviction: config.eviction,
             seed: config.seed,
             rng: SmallRng::seed_from_u64(config.seed),
             undo: Vec::new(),
@@ -188,17 +184,6 @@ impl VerticalCuckooFilter {
         self.seed
     }
 
-    /// The probe kernel the fingerprint table dispatches to.
-    pub fn kernel_kind(&self) -> KernelKind {
-        self.table.kernel_kind()
-    }
-
-    /// Requests a probe kernel for the fingerprint table, returning the
-    /// effective kind (requests the layout cannot honor clamp to SWAR).
-    pub fn set_kernel(&mut self, kind: KernelKind) -> KernelKind {
-        self.table.set_kernel(kind)
-    }
-
     /// Raw fingerprint stored in `(bucket, slot)`; `0` = empty. Used by
     /// snapshot persistence.
     pub(crate) fn slot_value(&self, bucket: usize, slot: usize) -> u32 {
@@ -256,24 +241,12 @@ impl VerticalCuckooFilter {
         self.params.candidates(b1, hfp)
     }
 
-    /// Places an already-hashed item: Algorithm 1's candidate scan
-    /// followed by the configured conflict policy. `add_hashes(2)` for
-    /// `hash(x)`/`hash(η)` has already been charged by the caller.
-    fn insert_prehashed(&mut self, fingerprint: u32, cands: Candidates) -> Result<(), InsertError> {
-        match self.eviction {
-            EvictionPolicy::RandomWalk => self.insert_random_walk(fingerprint, cands),
-            EvictionPolicy::Bfs => self.insert_bfs(fingerprint, cands),
-        }
-    }
-
-    /// Algorithm 1 with rollback-on-failure. Bucket accesses are counted
+    /// Places an already-hashed item: Algorithm 1 with
+    /// rollback-on-failure. `add_hashes(2)` for `hash(x)`/`hash(η)` has
+    /// already been charged by the caller. Bucket accesses are counted
     /// as they happen (candidate probes, eviction swaps, alternate
     /// probes) instead of the old closed-form `4 + 3·kicks`.
-    fn insert_random_walk(
-        &mut self,
-        fingerprint: u32,
-        cands: Candidates,
-    ) -> Result<(), InsertError> {
+    fn insert_prehashed(&mut self, fingerprint: u32, cands: Candidates) -> Result<(), InsertError> {
         let slots = self.table.slots_per_bucket();
         let mut probes = 0u64;
         let mut accesses = 0u64;
@@ -331,136 +304,11 @@ impl VerticalCuckooFilter {
         self.counters.add_failed_insert();
         Err(InsertError::Full { kicks })
     }
-
-    /// BFS policy: search the Theorem-1 relocation graph for the shortest
-    /// path to an empty slot, then execute it back-to-front. Nothing is
-    /// written unless a complete path exists, so no undo log is needed;
-    /// a zero-kick path is simply "a candidate had room".
-    fn insert_bfs(&mut self, fingerprint: u32, cands: Candidates) -> Result<(), InsertError> {
-        use core::cell::Cell;
-
-        let slots = self.table.slots_per_bucket();
-        let probes = Cell::new(0u64);
-        let accesses = Cell::new(0u64);
-        // `max_kicks == 0` disables relocation (Table V regime): only the
-        // roots may be inspected for room.
-        let max_nodes = if self.max_kicks == 0 {
-            0
-        } else {
-            (self.max_kicks as usize).max(8)
-        };
-
-        let table = &self.table;
-        let params = &self.params;
-        let hash = self.hash;
-        let counters = &self.counters;
-        let path = evict::search(
-            cands.iter().map(|b| (b, fingerprint)),
-            max_nodes,
-            |bucket| {
-                probes.set(probes.get() + slots as u64);
-                accesses.set(accesses.get() + 1);
-                table.first_empty_slot(bucket)
-            },
-            |bucket, out| {
-                accesses.set(accesses.get() + 1);
-                for slot in 0..slots {
-                    let resident = table.get(bucket, slot);
-                    let hfp = hash.hash_fingerprint(resident);
-                    counters.add_hashes(1);
-                    for &alt in &params.alternates(bucket, hfp) {
-                        out.push((slot, alt, resident));
-                    }
-                }
-            },
-        );
-
-        let Some(path) = path else {
-            self.counters.record_insert(probes.get(), accesses.get());
-            self.counters.add_failed_insert();
-            return Err(InsertError::Full { kicks: 0 });
-        };
-
-        let kicks = path.kicks();
-        let mut dest = path.empty_slot;
-        for step in path.steps[1..].iter().rev() {
-            self.table.set(step.bucket, dest, step.value);
-            dest = step.slot_in_parent;
-        }
-        self.table.set(path.steps[0].bucket, dest, fingerprint);
-        self.counters.add_kicks(kicks);
-        self.counters
-            .record_insert(probes.get(), accesses.get() + kicks + 1);
-        Ok(())
-    }
-}
-
-impl BulkHost for VerticalCuckooFilter {
-    /// `(fingerprint, candidate buckets)` — all four candidates
-    /// precomputed, stored narrow so sort entries stay 32 bytes.
-    type Key = (u32, [u32; 4]);
-
-    fn bulk_buckets(&self) -> usize {
-        self.table.buckets()
-    }
-
-    fn bulk_key(&self, item: &[u8]) -> Self::Key {
-        let (fingerprint, b1) = self.key_of(item);
-        let hfp = self.hash.hash_fingerprint(fingerprint);
-        let cands = self.params.candidates(b1, hfp);
-        (fingerprint, cands.buckets.map(|b| b as u32))
-    }
-
-    fn bulk_candidates(&self, _key: &Self::Key) -> usize {
-        4
-    }
-
-    fn bulk_candidate(&self, key: &Self::Key, e: usize) -> usize {
-        debug_assert!(e < key.1.len());
-        key.1[e] as usize
-    }
-
-    fn bulk_prefetch(&self, bucket: usize) {
-        self.table.prefetch_bucket(bucket);
-    }
-
-    fn bulk_try_place(&mut self, key: &Self::Key, e: usize) -> bool {
-        debug_assert!(e < key.1.len());
-        self.table.try_insert(key.1[e] as usize, key.0).is_some()
-    }
-
-    fn bulk_place_run(&mut self, bucket: usize, keys: &[Self::Key]) -> usize {
-        let mut fps = [0u64; vcf_table::MAX_BUCKET_SLOTS];
-        let take = keys.len().min(fps.len());
-        for (fp, key) in fps.iter_mut().zip(&keys[..take]) {
-            *fp = u64::from(key.0);
-        }
-        self.table.fill(bucket, &fps[..take])
-    }
-
-    fn bulk_record_keys(&self, n: u64) {
-        self.counters.add_hashes(2 * n); // hash(x) + hash(η), as serial
-    }
-
-    fn bulk_record_swept(&self, items: u64, bucket_accesses: u64) {
-        let slots = self.table.slots_per_bucket() as u64;
-        self.counters
-            .record_inserts(items, bucket_accesses * slots, bucket_accesses);
-    }
-
-    fn bulk_insert(&mut self, key: &Self::Key) -> Result<(), InsertError> {
-        let candidates = Candidates {
-            buckets: key.1.map(|b| b as usize),
-        };
-        self.insert_prehashed(key.0, candidates)
-    }
 }
 
 impl Filter for VerticalCuckooFilter {
     // lint: hot-path
-    /// Algorithm 1 under the configured eviction policy (random walk
-    /// with rollback-on-failure by default, BFS path search with
-    /// [`EvictionPolicy::Bfs`]).
+    /// Algorithm 1: random walk with rollback-on-failure.
     fn insert(&mut self, item: &[u8]) -> Result<(), InsertError> {
         let (fingerprint, b1) = self.key_of(item);
         let hfp = self.hash.hash_fingerprint(fingerprint);
@@ -498,18 +346,6 @@ impl Filter for VerticalCuckooFilter {
             }
         }
         out
-    }
-
-    // lint: hot-path
-    /// Sort-by-bucket bulk construction (see [`crate::bulk`]): hash all
-    /// items, counting-sort by candidate bucket round by round, sweep
-    /// the table in order with first-fit placement, then run the
-    /// eviction path only on the deferred overflow tail.
-    fn build_from_iter(
-        &mut self,
-        items: &mut dyn Iterator<Item = &[u8]>,
-    ) -> Vec<Result<(), InsertError>> {
-        bulk::build_from_iter(self, items)
     }
 
     // lint: hot-path
@@ -553,9 +389,8 @@ impl Filter for VerticalCuckooFilter {
         let slots = self.table.slots_per_bucket() as u64;
         let mut out = Vec::with_capacity(items.len());
         for &(fingerprint, cands) in &keys {
-            // One multi-bucket probe for all four candidates: under AVX2
-            // on single-word buckets this is a gather-compare, with no
-            // per-bucket early exit (probes reflect that).
+            // One early-exit probe over the four candidates; the counters
+            // charge all four whatever the probe finds.
             let found = self.table.contains_any(&cands.buckets, fingerprint);
             self.counters.record_lookup(
                 cands.buckets.len() as u64 * slots,
@@ -885,80 +720,6 @@ mod tests {
     }
 
     #[test]
-    fn bfs_policy_fills_past_95_percent() {
-        let mut f = VerticalCuckooFilter::new(
-            CuckooConfig::new(1 << 10)
-                .with_seed(3)
-                .with_eviction_policy(EvictionPolicy::Bfs),
-        )
-        .unwrap();
-        let capacity = f.capacity();
-        let mut acknowledged = Vec::new();
-        for i in 0..capacity as u64 {
-            if f.insert(&key(i)).is_ok() {
-                acknowledged.push(i);
-            }
-        }
-        let alpha = acknowledged.len() as f64 / capacity as f64;
-        assert!(alpha > 0.95, "BFS VCF load factor only {alpha}");
-        for i in acknowledged {
-            assert!(f.contains(&key(i)), "item {i} lost under BFS eviction");
-        }
-    }
-
-    #[test]
-    fn bfs_failed_insert_writes_nothing() {
-        let mut f = VerticalCuckooFilter::new(
-            CuckooConfig::new(1 << 5)
-                .with_seed(7)
-                .with_eviction_policy(EvictionPolicy::Bfs),
-        )
-        .unwrap();
-        let mut i = 0u64;
-        loop {
-            if f.insert(&key(i)).is_err() {
-                break;
-            }
-            i += 1;
-            assert!(i < 10_000, "filter never filled");
-        }
-        let before = f.clone();
-        for j in 0..10u64 {
-            assert!(f.insert(&key(1_000_000 + j)).is_err());
-        }
-        assert_eq!(f.len(), before.len());
-        for b in 0..f.buckets() {
-            for s in 0..f.slots_per_bucket() {
-                assert_eq!(
-                    f.slot_value(b, s),
-                    before.slot_value(b, s),
-                    "failed BFS insert wrote to ({b}, {s})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn bfs_respects_zero_max_kicks() {
-        // Table V regime: no relocation at all, only the candidate scan.
-        let mut f = VerticalCuckooFilter::new(
-            CuckooConfig::new(1 << 4)
-                .with_max_kicks(0)
-                .with_seed(11)
-                .with_eviction_policy(EvictionPolicy::Bfs),
-        )
-        .unwrap();
-        let mut failed = 0;
-        for i in 0..(f.capacity() as u64 * 2) {
-            if f.insert(&key(i)).is_err() {
-                failed += 1;
-            }
-        }
-        assert!(failed > 0, "tiny filter must reject without relocation");
-        assert_eq!(f.stats().kicks, 0, "max_kicks = 0 must suppress BFS moves");
-    }
-
-    #[test]
     fn random_walk_hash_count_matches_actual_calls() {
         // Under the random walk, every insert hashes the item and its
         // fingerprint (2), plus one fingerprint hash per kick. The
@@ -969,34 +730,5 @@ mod tests {
         }
         let s = f.stats();
         assert_eq!(s.hash_computations, 2 * s.inserts.calls + s.kicks);
-    }
-
-    #[test]
-    fn bfs_mean_kicks_not_above_random_walk_at_high_load() {
-        let run = |eviction: EvictionPolicy| {
-            let mut f = VerticalCuckooFilter::new(
-                CuckooConfig::new(1 << 10)
-                    .with_seed(21)
-                    .with_eviction_policy(eviction),
-            )
-            .unwrap();
-            let n = (f.capacity() as f64 * 0.95) as u64;
-            let mut i = 0u64;
-            let mut stored = 0u64;
-            while stored < n {
-                if f.insert(&key(i)).is_ok() {
-                    stored += 1;
-                }
-                i += 1;
-                assert!(i < 3 * n, "could not reach 95% load");
-            }
-            f.stats().kicks
-        };
-        let bfs = run(EvictionPolicy::Bfs);
-        let rw = run(EvictionPolicy::RandomWalk);
-        assert!(
-            bfs <= rw,
-            "BFS total kicks {bfs} exceed random walk {rw} at 95% load"
-        );
     }
 }

@@ -39,7 +39,6 @@
 //! kept zero by [`BucketEngine::set_slot`]; the kernels mask their result
 //! to active lanes so padding can never produce a phantom match.
 
-use crate::kernels::{self, KernelKind, WordLayout};
 use crate::prefetch::prefetch_read;
 use crate::MAX_BUCKET_SLOTS;
 use vcf_traits::BuildError;
@@ -125,10 +124,6 @@ pub struct BucketEngine {
     full: SegKernel,
     /// Kernel for the final segment (may hold fewer lanes).
     last: SegKernel,
-    /// Word-granularity view of the geometry for the SIMD kernels.
-    layout: WordLayout,
-    /// Probe-kernel dispatch, resolved once at construction.
-    kind: KernelKind,
 }
 
 impl BucketEngine {
@@ -183,8 +178,6 @@ impl BucketEngine {
         debug_assert!(segs <= MAX_BUCKET_SEGMENTS);
         let words_per_seg = (lanes_per_seg * width as usize).div_ceil(64);
         let last_lanes = slots - (segs - 1) * lanes_per_seg;
-        let layout = WordLayout::analyze(slots, width, lanes_per_seg, segs, words_per_seg);
-        let kind = kernels::detect(&layout);
         Ok(Self {
             width,
             slots,
@@ -196,35 +189,7 @@ impl BucketEngine {
             words_per_bucket: segs * words_per_seg,
             full: SegKernel::new(lanes_per_seg, width),
             last: SegKernel::new(last_lanes, width),
-            layout,
-            kind,
         })
-    }
-
-    /// The probe-kernel variant this engine dispatches to, resolved once
-    /// at construction (no per-call feature detection).
-    #[inline]
-    pub fn kernel_kind(&self) -> KernelKind {
-        self.kind
-    }
-
-    /// Returns this engine pinned to `kind`, clamped to what the host
-    /// CPU and the bucket geometry actually support (a straddling
-    /// layout or a missing CPU feature falls back to
-    /// [`KernelKind::Swar`]). The differential harness and benches use
-    /// this to compare kernel variants on identical geometry.
-    #[must_use]
-    pub fn with_kernel(mut self, kind: KernelKind) -> Self {
-        self.kind = kernels::clamp(kind, &self.layout);
-        self
-    }
-
-    /// Whether the per-bucket vector kernels are dispatched: a SIMD kind
-    /// on a straddle-free layout spanning ≥ 2 words (single-word buckets
-    /// are already one SWAR op).
-    #[inline]
-    fn use_simd(&self) -> bool {
-        self.kind != KernelKind::Swar && self.layout.wide()
     }
 
     /// Lane width in bits.
@@ -376,81 +341,6 @@ impl BucketEngine {
         None
     }
 
-    /// First slot of `bucket` whose full lane equals `pattern`, probing
-    /// straight from the table's word buffer through the dispatched
-    /// kernel ([`kernel_kind`](Self::kernel_kind)). Bit-identical to
-    /// [`find_in_bucket`](Self::find_in_bucket) on a
-    /// [`read_bucket`](Self::read_bucket) load.
-    #[inline]
-    pub fn probe_find(&self, words: &[u64], bucket: usize, pattern: u64) -> Option<usize> {
-        self.probe_find_field(words, bucket, pattern, self.lane_mask)
-    }
-
-    /// Whether any slot of `bucket` equals `pattern`, through the
-    /// dispatched kernel.
-    #[inline]
-    pub fn probe_contains(&self, words: &[u64], bucket: usize, pattern: u64) -> bool {
-        if self.use_simd() {
-            let base = bucket * self.words_per_bucket;
-            let m = kernels::match_words(&self.layout, words, base, pattern, self.lane_mask);
-            return kernels::any_match(&m);
-        }
-        self.contains_in_bucket(&self.read_bucket(words, bucket), pattern)
-    }
-
-    /// First empty slot of `bucket`, through the dispatched kernel.
-    #[inline]
-    pub fn probe_first_empty(&self, words: &[u64], bucket: usize) -> Option<usize> {
-        self.probe_find_field(words, bucket, 0, self.empty_field)
-    }
-
-    /// Occupied-slot count of `bucket`, through the dispatched kernel.
-    #[inline]
-    pub fn probe_len(&self, words: &[u64], bucket: usize) -> usize {
-        if self.use_simd() {
-            let base = bucket * self.words_per_bucket;
-            let m = kernels::match_words(&self.layout, words, base, 0, self.empty_field);
-            return self.slots - kernels::match_count(&m);
-        }
-        self.bucket_len(&self.read_bucket(words, bucket))
-    }
-
-    /// First slot of `bucket` where `lane & field == pattern & field`,
-    /// through the dispatched kernel.
-    #[inline]
-    pub fn probe_find_field(
-        &self,
-        words: &[u64],
-        bucket: usize,
-        pattern: u64,
-        field: u64,
-    ) -> Option<usize> {
-        if self.use_simd() {
-            let base = bucket * self.words_per_bucket;
-            let m = kernels::match_words(&self.layout, words, base, pattern, field);
-            return kernels::first_match(&self.layout, &m);
-        }
-        self.find_field(&self.read_bucket(words, bucket), pattern, field)
-    }
-
-    /// Whether any of `buckets` holds a full lane equal to the
-    /// corresponding entry of `patterns` — the batched-lookup candidate
-    /// probe. Under AVX2 with single-word buckets all (up to 8)
-    /// candidates are tested with one or two 64-bit gathers; otherwise
-    /// the buckets are probed in order with an early exit.
-    pub fn probe_contains_any(&self, words: &[u64], buckets: &[usize], patterns: &[u64]) -> bool {
-        debug_assert_eq!(buckets.len(), patterns.len());
-        #[cfg(target_arch = "x86_64")]
-        if self.kind == KernelKind::Avx2 && self.words_per_bucket == 1 && buckets.len() <= 8 {
-            return kernels::gather_match(&self.layout, words, buckets, patterns, self.lane_mask)
-                != 0;
-        }
-        buckets
-            .iter()
-            .zip(patterns)
-            .any(|(&b, &p)| self.probe_contains(words, b, p))
-    }
-
     /// The `(word, shift)` coordinates of `slot` within its bucket: the
     /// lane occupies bits `shift..shift + width` of the `word`-th `u64` of
     /// the bucket. Returns `None` when the lane straddles two words — the
@@ -516,57 +406,6 @@ impl BucketEngine {
         } else {
             words[base] = (words[base] & !(self.lane_mask << shift)) | (value << shift);
         }
-    }
-
-    /// Stores an edited [`read_bucket`](Self::read_bucket) image back
-    /// into the word buffer.
-    #[inline]
-    fn write_bucket(&self, words: &mut [u64], bucket: usize, image: &BucketWords) {
-        let base = bucket * self.words_per_bucket;
-        debug_assert!(base + self.words_per_bucket <= words.len());
-        for seg in 0..self.segs {
-            let w = base + seg * self.words_per_seg;
-            words[w] = image.segs[seg] as u64;
-            if self.words_per_seg == 2 {
-                words[w + 1] = (image.segs[seg] >> 64) as u64;
-            }
-        }
-    }
-
-    /// First-fit fills `bucket` with the leading `values`, stopping when
-    /// the bucket is full or `values` runs out: the bucket words are
-    /// loaded once, every placement edits the in-register image, and the
-    /// result is stored once. This is the bulk build's run primitive —
-    /// a run of `r` same-bucket items pays one load/store instead of
-    /// `r` read-modify-write round trips. Returns how many of `values`
-    /// were placed (always a prefix).
-    pub fn fill_bucket(&self, words: &mut [u64], bucket: usize, values: &[u64]) -> usize {
-        let mut image = self.read_bucket(words, bucket);
-        let mut placed = 0;
-        'segs: for seg in 0..self.segs {
-            // One empty-lane scan per segment; each placement clears its
-            // lane from the mask instead of re-probing the bucket.
-            let mut empty = self
-                .kernel(seg)
-                .match_mask(image.segs[seg], 0, self.empty_field);
-            while empty != 0 {
-                if placed == values.len() {
-                    break 'segs;
-                }
-                let value = values[placed];
-                debug_assert!(value <= self.lane_mask, "value {value:#x} exceeds lane");
-                debug_assert!(value != 0, "cannot fill with the empty sentinel");
-                let shift = empty.trailing_zeros() / self.width * self.width;
-                let lane = u128::from(self.lane_mask) << shift;
-                image.segs[seg] = (image.segs[seg] & !lane) | (u128::from(value) << shift);
-                empty &= !lane;
-                placed += 1;
-            }
-        }
-        if placed > 0 {
-            self.write_bucket(words, bucket, &image);
-        }
-        placed
     }
 }
 

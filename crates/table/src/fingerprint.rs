@@ -1,7 +1,6 @@
 //! Bucketed storage of non-zero fingerprints.
 
 use crate::bucket::{BucketEngine, BucketWords};
-use crate::kernels::KernelKind;
 use crate::{MAX_BUCKET_SLOTS, MAX_FINGERPRINT_BITS, MIN_FINGERPRINT_BITS};
 use vcf_traits::BuildError;
 
@@ -122,20 +121,6 @@ impl FingerprintTable {
         &self.engine
     }
 
-    /// The probe-kernel variant this table dispatches to.
-    #[inline]
-    pub fn kernel_kind(&self) -> KernelKind {
-        self.engine.kernel_kind()
-    }
-
-    /// Pins this table's probes to `kind` (clamped to what the host CPU
-    /// and geometry support) and returns the kind actually in effect —
-    /// the differential harness and benches' forcing hook.
-    pub fn set_kernel(&mut self, kind: KernelKind) -> KernelKind {
-        self.engine = self.engine.with_kernel(kind);
-        self.engine.kernel_kind()
-    }
-
     /// Loads `bucket`'s words once for repeated kernel probes.
     #[inline]
     pub fn read_bucket(&self, bucket: usize) -> BucketWords {
@@ -207,62 +192,31 @@ impl FingerprintTable {
     /// fingerprint derivation remaps 0 before it reaches the table.
     pub fn try_insert(&mut self, bucket: usize, fingerprint: u32) -> Option<usize> {
         debug_assert!(fingerprint != 0, "fingerprint 0 is the empty sentinel");
-        let slot = self.engine.probe_first_empty(&self.words, bucket)?;
+        let slot = self.engine.first_empty_slot(&self.read_bucket(bucket))?;
         self.engine
             .set_slot(&mut self.words, bucket, slot, u64::from(fingerprint));
         self.occupied += 1;
         Some(slot)
     }
 
-    /// First-fit fills `bucket` with the leading `fingerprints`, loading
-    /// and storing the bucket words once — the bulk build's run
-    /// primitive (see [`BucketEngine::fill_bucket`]). Returns how many
-    /// were placed (always a prefix; fewer than asked means the bucket
-    /// is now full).
-    ///
-    /// # Panics
-    ///
-    /// Debug builds panic if any fingerprint is zero (the empty
-    /// sentinel); fingerprint derivation remaps 0 before the table.
-    pub fn fill(&mut self, bucket: usize, fingerprints: &[u64]) -> usize {
-        debug_assert!(
-            fingerprints.iter().all(|&fp| fp != 0),
-            "fingerprint 0 is the empty sentinel"
-        );
-        let placed = self
-            .engine
-            .fill_bucket(&mut self.words, bucket, fingerprints);
-        self.occupied += placed;
-        placed
-    }
-
     /// Returns the slot holding `fingerprint` in `bucket`, if any.
     #[inline]
     pub fn find(&self, bucket: usize, fingerprint: u32) -> Option<usize> {
-        debug_assert!(bucket < self.buckets, "bucket {bucket} out of range");
         self.engine
-            .probe_find(&self.words, bucket, u64::from(fingerprint))
+            .find_in_bucket(&self.read_bucket(bucket), u64::from(fingerprint))
     }
 
     /// Whether `bucket` holds at least one copy of `fingerprint`.
     #[inline]
     pub fn contains(&self, bucket: usize, fingerprint: u32) -> bool {
-        debug_assert!(bucket < self.buckets, "bucket {bucket} out of range");
         self.engine
-            .probe_contains(&self.words, bucket, u64::from(fingerprint))
+            .contains_in_bucket(&self.read_bucket(bucket), u64::from(fingerprint))
     }
 
     /// Whether any bucket of `buckets` holds `fingerprint` — the batched
-    /// candidate probe. Under AVX2 with single-word buckets every
-    /// candidate is tested in one or two 64-bit gathers.
+    /// candidate probe, stopping at the first bucket that matches.
     pub fn contains_any(&self, buckets: &[usize], fingerprint: u32) -> bool {
-        debug_assert!(buckets.iter().all(|&b| b < self.buckets));
-        let pattern = u64::from(fingerprint);
-        let patterns = [pattern; 8];
-        buckets.chunks(8).any(|chunk| {
-            self.engine
-                .probe_contains_any(&self.words, chunk, &patterns[..chunk.len()])
-        })
+        buckets.iter().any(|&b| self.contains(b, fingerprint))
     }
 
     /// Removes one copy of `fingerprint` from `bucket`; returns whether a
@@ -283,21 +237,14 @@ impl FingerprintTable {
 
     /// Whether `bucket` has no empty slot.
     pub fn bucket_is_full(&self, bucket: usize) -> bool {
-        self.first_empty_slot(bucket).is_none()
-    }
-
-    /// First empty slot of `bucket`, if any — the BFS eviction search's
-    /// goal test.
-    #[inline]
-    pub fn first_empty_slot(&self, bucket: usize) -> Option<usize> {
-        debug_assert!(bucket < self.buckets, "bucket {bucket} out of range");
-        self.engine.probe_first_empty(&self.words, bucket)
+        self.engine
+            .first_empty_slot(&self.read_bucket(bucket))
+            .is_none()
     }
 
     /// Number of occupied slots in `bucket`.
     pub fn bucket_len(&self, bucket: usize) -> usize {
-        debug_assert!(bucket < self.buckets, "bucket {bucket} out of range");
-        self.engine.probe_len(&self.words, bucket)
+        self.engine.bucket_len(&self.read_bucket(bucket))
     }
 
     /// Swaps `fingerprint` with the resident of `(bucket, slot)` and

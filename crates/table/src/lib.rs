@@ -19,10 +19,7 @@
 //! * [`AtomicBucketEngine`] / [`AtomicFingerprintTable`] — the lock-free
 //!   siblings: the same layout and kernels over `AtomicU64` words, with
 //!   CAS-based slot claim/replace for concurrent filters (`ConcurrentVcf`
-//!   in `vcf-core`),
-//! * the `kernels` module — runtime-dispatched AVX2/NEON variants of the
-//!   probe kernels ([`KernelKind`]), selected once at construction with
-//!   SWAR as the universal fallback.
+//!   in `vcf-core`).
 //!
 //! All tables use value `0` as the empty-slot sentinel, so the filter layer
 //! maps real fingerprints into `1..2^f` (the standard trick from the
@@ -42,10 +39,8 @@
 //! ```
 
 // `deny` rather than `forbid`: the cfg-gated prefetch intrinsic in
-// `prefetch.rs` and the SIMD kernels in `kernels/` carry scoped
-// `#[allow(unsafe_code)]` items; everything else in the crate still
-// rejects `unsafe` at compile time (and `vcf-xtask lint`'s
-// `simd-confinement` rule pins `target_feature` code to `kernels/`).
+// `prefetch.rs` carries a scoped `#[allow(unsafe_code)]` item; everything
+// else in the crate still rejects `unsafe` at compile time.
 #![deny(unsafe_code)]
 // Any future `unsafe fn` must scope each unsafe operation in its own
 // block with its own SAFETY comment (also enforced by `vcf-xtask lint`).
@@ -55,7 +50,6 @@
 mod atomic_bucket;
 mod bucket;
 mod fingerprint;
-mod kernels;
 mod marked;
 mod packed;
 mod prefetch;
@@ -63,7 +57,6 @@ mod prefetch;
 pub use atomic_bucket::{AtomicBucketEngine, AtomicFingerprintTable};
 pub use bucket::{BucketEngine, BucketWords, MAX_BUCKET_SEGMENTS, MAX_LANE_BITS};
 pub use fingerprint::FingerprintTable;
-pub use kernels::KernelKind;
 pub use marked::{MarkedEntry, MarkedTable};
 pub use packed::PackedTable;
 

@@ -8,7 +8,6 @@
 //! relocation can apply Equ. 7 without re-hashing the original item.
 
 use crate::bucket::{BucketEngine, BucketWords};
-use crate::kernels::KernelKind;
 use crate::{MAX_BUCKET_SLOTS, MAX_FINGERPRINT_BITS, MIN_FINGERPRINT_BITS};
 use vcf_traits::BuildError;
 
@@ -155,20 +154,6 @@ impl MarkedTable {
         self.words.len() * 8
     }
 
-    /// The probe-kernel variant this table dispatches to.
-    #[inline]
-    pub fn kernel_kind(&self) -> KernelKind {
-        self.engine.kernel_kind()
-    }
-
-    /// Pins this table's probes to `kind` (clamped to what the host CPU
-    /// and geometry support) and returns the kind actually in effect —
-    /// the differential harness and benches' forcing hook.
-    pub fn set_kernel(&mut self, kind: KernelKind) -> KernelKind {
-        self.engine = self.engine.with_kernel(kind);
-        self.engine.kernel_kind()
-    }
-
     #[inline]
     fn encode(&self, entry: MarkedEntry) -> u64 {
         debug_assert!(entry.fingerprint != 0);
@@ -246,46 +231,11 @@ impl MarkedTable {
             entry.mark,
             self.mark_bits
         );
-        let slot = self.engine.probe_first_empty(&self.words, bucket)?;
+        let slot = self.engine.first_empty_slot(&self.read_bucket(bucket))?;
         let encoded = self.encode(entry);
         self.engine.set_slot(&mut self.words, bucket, slot, encoded);
         self.occupied += 1;
         Some(slot)
-    }
-
-    /// First-fit fills `bucket` with the leading `entries` (capped at
-    /// one bucket's worth), loading and storing the bucket words once —
-    /// the bulk build's run primitive (see
-    /// [`BucketEngine::fill_bucket`]). Returns how many were placed
-    /// (always a prefix; fewer than asked means the bucket is now
-    /// full).
-    ///
-    /// # Panics
-    ///
-    /// Debug builds panic if any entry's fingerprint is zero or its mark
-    /// does not fit in the mark field; both are derived quantities the
-    /// k-VCF remaps/bounds before they reach the table.
-    pub fn fill(&mut self, bucket: usize, entries: &[MarkedEntry]) -> usize {
-        let take = entries.len().min(MAX_BUCKET_SLOTS);
-        let mut encoded = [0u64; MAX_BUCKET_SLOTS];
-        for (out, &entry) in encoded.iter_mut().zip(&entries[..take]) {
-            debug_assert!(
-                entry.fingerprint != 0,
-                "fingerprint 0 is the empty sentinel"
-            );
-            debug_assert!(
-                u32::from(entry.mark) < (1 << self.mark_bits),
-                "mark {} does not fit in {} bits",
-                entry.mark,
-                self.mark_bits
-            );
-            *out = self.encode(entry);
-        }
-        let placed = self
-            .engine
-            .fill_bucket(&mut self.words, bucket, &encoded[..take]);
-        self.occupied += placed;
-        placed
     }
 
     /// Whether `bucket` stores an exact `(fingerprint, mark)` match.
@@ -294,35 +244,18 @@ impl MarkedTable {
             return false;
         }
         self.engine
-            .probe_contains(&self.words, bucket, self.encode(entry))
+            .contains_in_bucket(&self.read_bucket(bucket), self.encode(entry))
     }
 
     /// Whether any `buckets[i]` stores an exact match of `entries[i]` —
     /// the batched candidate probe, one `(bucket, mark-specific pattern)`
-    /// pair per candidate position. Under AVX2 with single-word buckets
-    /// every candidate is tested in one or two 64-bit gathers.
+    /// pair per candidate position, stopping at the first match.
     pub fn contains_any(&self, buckets: &[usize], entries: &[MarkedEntry]) -> bool {
         debug_assert_eq!(buckets.len(), entries.len());
-        debug_assert!(buckets.iter().all(|&b| b < self.buckets));
-        if entries.iter().any(|&e| !self.is_storable(e)) {
-            // A zero-fingerprint pattern would match *empty* lanes, so
-            // unstorable entries cannot ride the gather path.
-            return buckets
-                .iter()
-                .zip(entries)
-                .any(|(&b, &e)| self.contains(b, e));
-        }
-        let mut patterns = [0u64; 8];
         buckets
-            .chunks(8)
-            .zip(entries.chunks(8))
-            .any(|(bchunk, echunk)| {
-                for (slot, &entry) in patterns.iter_mut().zip(echunk) {
-                    *slot = self.encode(entry);
-                }
-                self.engine
-                    .probe_contains_any(&self.words, bchunk, &patterns[..bchunk.len()])
-            })
+            .iter()
+            .zip(entries)
+            .any(|(&b, &e)| self.contains(b, e))
     }
 
     /// Removes one exact `(fingerprint, mark)` match from `bucket`.
@@ -332,7 +265,7 @@ impl MarkedTable {
         }
         match self
             .engine
-            .probe_find(&self.words, bucket, self.encode(entry))
+            .find_in_bucket(&self.read_bucket(bucket), self.encode(entry))
         {
             Some(slot) => {
                 self.engine.set_slot(&mut self.words, bucket, slot, 0);
@@ -345,15 +278,9 @@ impl MarkedTable {
 
     /// Whether `bucket` has no empty slot.
     pub fn bucket_is_full(&self, bucket: usize) -> bool {
-        self.first_empty_slot(bucket).is_none()
-    }
-
-    /// First empty slot of `bucket`, if any — the BFS eviction search's
-    /// goal test.
-    #[inline]
-    pub fn first_empty_slot(&self, bucket: usize) -> Option<usize> {
-        debug_assert!(bucket < self.buckets, "bucket {bucket} out of range");
-        self.engine.probe_first_empty(&self.words, bucket)
+        self.engine
+            .first_empty_slot(&self.read_bucket(bucket))
+            .is_none()
     }
 
     /// Swaps `entry` with the resident of `(bucket, slot)`, returning the

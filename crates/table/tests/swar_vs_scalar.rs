@@ -9,14 +9,11 @@
 //! random geometry and random contents including the zero sentinel and
 //! duplicate lanes, and demands exact agreement.
 //!
-//! The final section upgrades this into a *three-way* differential: the
-//! scalar oracle, the forced-SWAR engine, and every SIMD kernel the host
-//! can dispatch to ([`KernelKind`]) must agree probe-for-probe — on
-//! straddle-free lane layouts where the vector kernels engage, and on
-//! straddling ones where dispatch must pin itself back to SWAR.
+//! The second section checks the lock-free atomic engine against the
+//! sequential one, slot for slot.
 
 use proptest::prelude::*;
-use vcf_table::{BucketEngine, FingerprintTable, KernelKind};
+use vcf_table::{BucketEngine, FingerprintTable};
 
 /// Builds an engine plus one bucket's worth of words holding `lanes`
 /// (truncated to the lane width, list truncated/padded to `slots`).
@@ -283,201 +280,6 @@ proptest! {
             prop_assert_eq!(atomic.contains(1, probe), sequential.contains(1, probe));
             prop_assert_eq!(atomic.find(1, probe), sequential.find(1, probe));
             prop_assert_eq!(atomic.contains(0, probe), false, "empty bucket matched");
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Three-way kernel differential: scalar oracle vs forced SWAR vs every
-// dispatched SIMD kind the host supports. A SIMD kernel is only correct
-// if it is bit-identical to SWAR on every probe, so each property runs
-// the same storage through every variant.
-// ---------------------------------------------------------------------
-
-/// Every kernel variant the host can actually run on this geometry:
-/// forced SWAR, any supported SIMD kind, and the construction-time
-/// default (which must be one of the former).
-fn kernel_variants(engine: BucketEngine) -> Vec<BucketEngine> {
-    let mut variants = vec![engine.with_kernel(KernelKind::Swar)];
-    for kind in [KernelKind::Avx2, KernelKind::Neon] {
-        let forced = engine.with_kernel(kind);
-        if forced.kernel_kind() == kind {
-            variants.push(forced);
-        }
-    }
-    variants.push(engine);
-    variants
-}
-
-/// Lane values with a strong bias toward the zero sentinel and small
-/// duplicates, so empty-slot scans and first-match ties get exercised.
-fn lane_value() -> impl Strategy<Value = u64> {
-    prop_oneof![0u64..1, 0u64..4, any::<u64>()]
-}
-
-proptest! {
-    /// All five whole-bucket probes agree with the scalar loop under
-    /// every kernel variant, across arbitrary geometry (both
-    /// straddle-free layouts, where the SIMD kernels engage, and
-    /// straddling ones, where dispatch pins back to SWAR).
-    #[test]
-    fn probes_agree_across_kernels(
-        width in 1u32..=32,
-        slots in 1usize..=8,
-        lanes in prop::collection::vec(lane_value(), 32),
-        probe in any::<u64>(),
-        field in any::<u64>(),
-    ) {
-        let engine = BucketEngine::new(slots, width).unwrap();
-        let buckets = 4usize;
-        let mut words = vec![0u64; engine.storage_words(buckets)];
-        for bucket in 0..buckets {
-            for slot in 0..slots {
-                let value = lanes[bucket * 8 + slot] & engine.lane_mask();
-                engine.set_slot(&mut words, bucket, slot, value);
-            }
-        }
-        let probe = probe & engine.lane_mask();
-        let field = {
-            let f = field & engine.lane_mask();
-            if f == 0 { 1 } else { f }
-        };
-        let field_pattern = probe & field;
-        for variant in kernel_variants(engine) {
-            let kind = variant.kernel_kind();
-            for bucket in 0..buckets {
-                let loaded = variant.read_bucket(&words, bucket);
-                let lane = |slot: usize| variant.lane(&loaded, slot);
-                let scalar_find = (0..slots).find(|&s| lane(s) == probe);
-                let scalar_empty = (0..slots).find(|&s| lane(s) == 0);
-                let scalar_len = (0..slots).filter(|&s| lane(s) != 0).count();
-                let scalar_field = (0..slots).find(|&s| lane(s) & field == field_pattern);
-                prop_assert_eq!(
-                    variant.probe_find(&words, bucket, probe),
-                    scalar_find, "find under {}", kind
-                );
-                prop_assert_eq!(
-                    variant.probe_contains(&words, bucket, probe),
-                    scalar_find.is_some(), "contains under {}", kind
-                );
-                prop_assert_eq!(
-                    variant.probe_first_empty(&words, bucket),
-                    scalar_empty, "first_empty under {}", kind
-                );
-                prop_assert_eq!(
-                    variant.probe_len(&words, bucket),
-                    scalar_len, "len under {}", kind
-                );
-                prop_assert_eq!(
-                    variant.probe_find_field(&words, bucket, field_pattern, field),
-                    scalar_field, "find_field under {}", kind
-                );
-            }
-        }
-    }
-
-    /// The multi-bucket candidate probe (gather-compare under AVX2 on
-    /// single-word buckets) agrees with a scalar per-candidate loop for
-    /// every kernel variant, with per-candidate patterns as k-VCF uses.
-    #[test]
-    fn contains_any_agrees_across_kernels(
-        width in 1u32..=32,
-        slots in 1usize..=8,
-        lanes in prop::collection::vec(lane_value(), 64),
-        candidates in prop::collection::vec((0usize..8, lane_value()), 1..=8),
-    ) {
-        let engine = BucketEngine::new(slots, width).unwrap();
-        let buckets = 8usize;
-        let mut words = vec![0u64; engine.storage_words(buckets)];
-        for bucket in 0..buckets {
-            for slot in 0..slots {
-                let value = lanes[bucket * 8 + slot] & engine.lane_mask();
-                engine.set_slot(&mut words, bucket, slot, value);
-            }
-        }
-        let cand_buckets: Vec<usize> = candidates.iter().map(|&(b, _)| b).collect();
-        let patterns: Vec<u64> =
-            candidates.iter().map(|&(_, p)| p & engine.lane_mask()).collect();
-        for variant in kernel_variants(engine) {
-            let scalar = cand_buckets.iter().zip(&patterns).any(|(&b, &p)| {
-                let loaded = variant.read_bucket(&words, b);
-                (0..slots).any(|s| variant.lane(&loaded, s) == p)
-            });
-            prop_assert_eq!(
-                variant.probe_contains_any(&words, &cand_buckets, &patterns),
-                scalar,
-                "contains_any under {}", variant.kernel_kind()
-            );
-        }
-    }
-
-    /// A `FingerprintTable` forced to SWAR and one on the dispatched
-    /// default answer identically after the same insert sequence.
-    #[test]
-    fn table_probes_agree_across_kernels(
-        fp_bits in 2u32..=32,
-        slots in 1usize..=8,
-        inserts in prop::collection::vec((0usize..8, 1u64..0xffff), 1..40),
-        probes in prop::collection::vec((0usize..8, 1u64..0xffff), 16),
-    ) {
-        let mut dispatched = FingerprintTable::new(8, slots, fp_bits).unwrap();
-        let mut swar = FingerprintTable::new(8, slots, fp_bits).unwrap();
-        prop_assert_eq!(swar.set_kernel(KernelKind::Swar), KernelKind::Swar);
-        for &(bucket, fp) in &inserts {
-            let fp = ((fp & ((1u64 << fp_bits) - 1)) as u32).max(1);
-            prop_assert_eq!(dispatched.try_insert(bucket, fp), swar.try_insert(bucket, fp));
-        }
-        for &(bucket, fp) in &probes {
-            let fp = ((fp & ((1u64 << fp_bits) - 1)) as u32).max(1);
-            prop_assert_eq!(dispatched.contains(bucket, fp), swar.contains(bucket, fp));
-            prop_assert_eq!(dispatched.find(bucket, fp), swar.find(bucket, fp));
-            prop_assert_eq!(dispatched.bucket_len(bucket), swar.bucket_len(bucket));
-            let cands = [bucket, (bucket + 3) % 8, (bucket + 5) % 8, (bucket + 6) % 8];
-            prop_assert_eq!(
-                dispatched.contains_any(&cands, fp),
-                swar.contains_any(&cands, fp)
-            );
-        }
-    }
-}
-
-/// Straddle-free layouts accept SIMD kinds the host supports; straddling
-/// layouts clamp every request back to SWAR.
-#[test]
-fn kernel_dispatch_respects_layout_eligibility() {
-    // 8 × 14 bits: lanes straddle the word boundary → always SWAR.
-    let straddling = BucketEngine::new(8, 14).unwrap();
-    assert_eq!(straddling.kernel_kind(), KernelKind::Swar);
-    assert_eq!(
-        straddling.with_kernel(KernelKind::Avx2).kernel_kind(),
-        KernelKind::Swar
-    );
-    assert_eq!(
-        straddling.with_kernel(KernelKind::Neon).kernel_kind(),
-        KernelKind::Swar
-    );
-
-    // Straddle-free layouts: 4 × 14 (one word) and 8 × 16 (64 % 16 == 0).
-    for engine in [
-        BucketEngine::new(4, 14).unwrap(),
-        BucketEngine::new(8, 16).unwrap(),
-        BucketEngine::new(8, 32).unwrap(),
-    ] {
-        // Forcing SWAR always works…
-        assert_eq!(
-            engine.with_kernel(KernelKind::Swar).kernel_kind(),
-            KernelKind::Swar
-        );
-        // …and on an AVX2 host the eligible layout must accept AVX2.
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2")
-            && std::env::var_os("VCF_FORCE_SWAR").is_none()
-        {
-            assert_eq!(
-                engine.with_kernel(KernelKind::Avx2).kernel_kind(),
-                KernelKind::Avx2
-            );
-            assert_eq!(engine.kernel_kind(), KernelKind::Avx2);
         }
     }
 }

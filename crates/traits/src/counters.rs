@@ -79,20 +79,6 @@ impl Counters {
             .fetch_add(bucket_accesses, Ordering::Relaxed);
     }
 
-    /// Records `calls` insert calls in aggregate — the bulk-build sweep
-    /// flushes its whole tally in one shot instead of paying three
-    /// atomic adds per placed item.
-    #[inline]
-    pub fn record_inserts(&self, calls: u64, slot_probes: u64, bucket_accesses: u64) {
-        self.inserts.calls.fetch_add(calls, Ordering::Relaxed);
-        self.inserts
-            .slot_probes
-            .fetch_add(slot_probes, Ordering::Relaxed);
-        self.inserts
-            .bucket_accesses
-            .fetch_add(bucket_accesses, Ordering::Relaxed);
-    }
-
     /// Records one lookup call.
     #[inline]
     pub fn record_lookup(&self, slot_probes: u64, bucket_accesses: u64) {

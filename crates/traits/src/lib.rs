@@ -179,27 +179,6 @@ pub trait Filter {
         items.iter().map(|item| self.insert(item)).collect()
     }
 
-    /// Bulk-constructs the filter from an item stream, returning one
-    /// result per item in order.
-    ///
-    /// Semantically equivalent to [`insert_batch`](Filter::insert_batch)
-    /// on the collected stream — every `Ok` item is stored (no false
-    /// negatives) and the occupancy equals the `Ok` count — but
-    /// implementations are free to place items in a different physical
-    /// order. Table-backed filters override this with a sort-by-bucket
-    /// build (hash everything up front, counting-sort by candidate
-    /// bucket, sweep the table in order with first-fit placement, then
-    /// run the eviction machinery only on the overflow tail), which
-    /// fills a near-full table several times faster than pipelined
-    /// serial insertion.
-    fn build_from_iter(
-        &mut self,
-        items: &mut dyn Iterator<Item = &[u8]>,
-    ) -> Vec<Result<(), InsertError>> {
-        let items: Vec<&[u8]> = items.collect();
-        self.insert_batch(&items)
-    }
-
     /// Tests membership of `item`. May return false positives, never false
     /// negatives.
     fn contains(&self, item: &[u8]) -> bool;

@@ -8,9 +8,10 @@
 //! notices the lost coverage), and a serialization bug committing
 //! zero/negative/NaN timings. This check pins both: every key must
 //! live under a known group prefix, every value must be a positive
-//! finite ns figure, and the entry count must stay monotone against
-//! the committed baseline floor (the count at the time the floor was
-//! last ratcheted — raise it when benches are added, never lower it).
+//! finite ns figure, and the entry count must not fall below the
+//! committed baseline floor. Raise the floor when benches are added.
+//! Lower it only in the change that retires a bench group, and say in
+//! that change which ids went and why.
 
 use crate::json::{self, Value};
 use std::fs;
@@ -23,17 +24,20 @@ pub struct BenchSchema {
     pub rel: &'static str,
     /// Allowed `group/` prefixes (first path segment of every key).
     pub groups: &'static [&'static str],
-    /// Minimum entry count — the committed baseline, ratcheted only up.
+    /// Minimum entry count — the committed baseline. Lowered only by
+    /// the change that retires a bench group.
     pub min_entries: usize,
 }
 
-/// The committed baselines and their schemas. Floors match the files
-/// as of PR 9 (45 insert-side entries, 12 server sweep points).
+/// The committed baselines and their schemas. Floors match the files:
+/// 39 insert-side entries (45 until the BFS-eviction and bulk-build
+/// rows were retired with the code they measured), 12 server sweep
+/// points.
 pub const SCHEMAS: &[BenchSchema] = &[
     BenchSchema {
         rel: "BENCH_insert.json",
         groups: &["insert", "churn", "tiered"],
-        min_entries: 45,
+        min_entries: 39,
     },
     BenchSchema {
         rel: "BENCH_server.json",
@@ -87,8 +91,8 @@ pub fn check_doc(schema: &BenchSchema, text: &str) -> Vec<String> {
     if pairs.len() < schema.min_entries {
         problems.push(format!(
             "{}: {} entries, below the committed baseline of {} \u{2014} bench coverage \
-             regressed (if a group was intentionally retired, lower the floor in \
-             bench_check.rs in the same PR)",
+             regressed (lower the floor in bench_check.rs only in the change that \
+             retires a group, and say there which ids went and why)",
             schema.rel,
             pairs.len(),
             schema.min_entries

@@ -22,7 +22,7 @@
 //!   to methods of a workspace type named `Type` (`Self::` maps to the
 //!   caller's own type), so `io::Error::new` does not fan out to every
 //!   constructor in the workspace. A lowercase qualifier
-//!   (`bulk::build_from_iter`) restricts to free functions.
+//!   (`key::hash_item`) restricts to free functions.
 //! * **Source candidacy** — only non-test functions in `crates/*/src`
 //!   and the façade `src/` are resolution targets; test helpers and
 //!   bench harness code never become edges.

@@ -55,8 +55,8 @@ pub struct Call {
     /// Qualification shape, which picks the resolution candidate set.
     pub kind: CallKind,
     /// For [`CallKind::Path`]: the path segment immediately before the
-    /// callee (`Error` in `io::Error::new`, `bulk` in
-    /// `bulk::build_from_iter`). Lets resolution match the owner type
+    /// callee (`Error` in `io::Error::new`, `key` in
+    /// `key::hash_item`). Lets resolution match the owner type
     /// instead of fanning out to every same-named method.
     pub qual: Option<String>,
     /// 1-based line of the callee token.

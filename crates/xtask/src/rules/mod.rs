@@ -13,7 +13,6 @@ pub mod docs;
 pub mod panic_reach;
 pub mod safety;
 pub mod seqlock;
-pub mod simd;
 pub mod suppressions;
 pub mod theorem1;
 pub mod wire;
@@ -35,10 +34,6 @@ pub const ATOMIC_MODULES: &[&str] = &[
 /// Modules holding seqlock version words, where `Relaxed` loads need a
 /// written justification.
 pub const SEQLOCK_MODULES: &[&str] = &["crates/core/src/concurrent.rs"];
-
-/// The only directory allowed to contain `#[target_feature]`-gated SIMD
-/// code; the safe `KernelKind` dispatch wrappers live at its root.
-pub const SIMD_KERNEL_DIR: &str = "crates/table/src/kernels/";
 
 /// The only modules allowed to XOR bucket indices with fingerprint
 /// masks — the Theorem-1 / Theorem-2 coset arithmetic.
@@ -81,7 +76,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(docs::MissingDocsPublic),
         Box::new(crate_attrs::CrateUnsafeAttr),
         Box::new(suppressions::TsanSuppressions),
-        Box::new(simd::SimdConfinement),
     ]
 }
 

@@ -202,7 +202,6 @@ fn rules_subcommand_lists_every_rule() {
         "missing-docs-public",
         "crate-unsafe-attr",
         "tsan-suppressions",
-        "simd-confinement",
     ] {
         assert!(stdout.contains(rule), "missing {rule} in: {stdout}");
     }

@@ -305,33 +305,6 @@ fn tsan_suppressions_fixtures() {
 }
 
 #[test]
-fn simd_confinement_fixtures() {
-    // Any `#[target_feature]` attribute outside the kernels directory is
-    // a confinement violation — even a perfectly documented one.
-    assert_fails(
-        "crates/demo/src/fast.rs",
-        include_str!("fixtures/simd_pass.rs"),
-        "simd-confinement",
-    );
-    // Inside the kernels directory the unsafe kernel still needs safety
-    // text naming the feature…
-    let diags = assert_fails(
-        "crates/table/src/kernels/fast.rs",
-        include_str!("fixtures/simd_fail.rs"),
-        "simd-confinement",
-    );
-    assert_eq!(diags.len(), 1, "got:\n{diags:#?}");
-    assert!(diags[0].message.contains("avx2"), "got:\n{diags:#?}");
-    // …and with the feature named (plus a safe helper and a cfg check,
-    // neither of which is in scope) the rule stays quiet.
-    assert_passes(
-        "crates/table/src/kernels/fast.rs",
-        include_str!("fixtures/simd_pass.rs"),
-        "simd-confinement",
-    );
-}
-
-#[test]
 fn waiver_fixtures() {
     // Full runs surface malformed and stale waivers.
     let ctx = LintContext::from_memory(vec![SourceFile::new(

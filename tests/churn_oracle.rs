@@ -5,9 +5,7 @@
 
 use vertical_cuckoo_filters::baselines::{CuckooFilter, DaryCuckooFilter};
 use vertical_cuckoo_filters::traits::Filter;
-use vertical_cuckoo_filters::vcf::{
-    CuckooConfig, Dvcf, EvictionPolicy, KVcf, VerticalCuckooFilter,
-};
+use vertical_cuckoo_filters::vcf::{CuckooConfig, Dvcf, KVcf, VerticalCuckooFilter};
 use vertical_cuckoo_filters::workloads::{ChurnConfig, ChurnTrace, Op};
 
 fn replay_and_check(filter: &mut dyn Filter, trace: &ChurnTrace) {
@@ -138,66 +136,5 @@ fn churn_at_high_occupancy_vcf_vs_cf() {
         "VCF churn kicks {} should be well below CF's {}",
         vcf.stats().kicks,
         cf.stats().kicks
-    );
-}
-
-/// The BFS eviction policy must give the same zero-false-negative
-/// guarantee as the default random walk, under identical traces.
-#[test]
-fn churn_vcf_bfs() {
-    let config = CuckooConfig::with_total_slots(1 << 13)
-        .with_seed(2)
-        .with_eviction_policy(EvictionPolicy::Bfs);
-    let working_set = (1usize << 13) * 60 / 100;
-    replay_and_check(
-        &mut VerticalCuckooFilter::new(config).unwrap(),
-        &trace(2, working_set),
-    );
-}
-
-#[test]
-fn churn_cf_bfs() {
-    let config = CuckooConfig::with_total_slots(1 << 13)
-        .with_seed(1)
-        .with_eviction_policy(EvictionPolicy::Bfs);
-    let working_set = (1usize << 13) * 60 / 100;
-    replay_and_check(
-        &mut CuckooFilter::new(config).unwrap(),
-        &trace(1, working_set),
-    );
-}
-
-#[test]
-fn churn_kvcf_bfs() {
-    let config = CuckooConfig::with_total_slots(1 << 13)
-        .with_seed(5)
-        .with_fingerprint_bits(16)
-        .with_eviction_policy(EvictionPolicy::Bfs);
-    let working_set = (1usize << 13) * 60 / 100;
-    replay_and_check(&mut KVcf::new(config, 6).unwrap(), &trace(5, working_set));
-}
-
-/// BFS under the hard regime: sustained churn at 90 % occupancy, plus
-/// the policy's own headline — shortest-path eviction relocates no more
-/// than the random walk on the same trace.
-#[test]
-fn churn_at_high_occupancy_bfs_vs_random_walk() {
-    let slots = 1usize << 12;
-    let working_set = slots * 90 / 100;
-    let config = CuckooConfig::with_total_slots(slots).with_seed(9);
-    let high_trace = trace(9, working_set);
-
-    let mut walk = VerticalCuckooFilter::new(config).unwrap();
-    replay_and_check(&mut walk, &high_trace);
-
-    let mut bfs =
-        VerticalCuckooFilter::new(config.with_eviction_policy(EvictionPolicy::Bfs)).unwrap();
-    replay_and_check(&mut bfs, &high_trace);
-
-    assert!(
-        bfs.stats().kicks <= walk.stats().kicks,
-        "BFS churn kicks {} should not exceed the random walk's {}",
-        bfs.stats().kicks,
-        walk.stats().kicks
     );
 }

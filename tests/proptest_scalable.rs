@@ -9,7 +9,7 @@
 //!    partition selector and coset, in every segment geometry.
 //! 2. **Fingerprint equivalence.** A chain that has been fully migrated
 //!    back to a single segment stores exactly the same canonical
-//!    fingerprint multiset as a fresh `build_from_iter` of the surviving
+//!    fingerprint multiset as a fresh `insert_batch` of the surviving
 //!    keys: each stored `(bucket, η)` reduces to the geometry-independent
 //!    key `(min coset bucket, η)`, and the sorted multisets must match.
 
@@ -94,7 +94,7 @@ proptest! {
     }
 
     /// (b) A fully-migrated chain is fingerprint-equivalent to a fresh
-    /// `build_from_iter` of the surviving keys.
+    /// `insert_batch` of the surviving keys.
     #[test]
     fn fully_migrated_chain_matches_fresh_build(
         n in 50usize..300,
@@ -124,9 +124,9 @@ proptest! {
         }
         drain_fully(&mut chain, 8)?;
 
-        // Filter B: fresh bulk build of the survivors only.
+        // Filter B: fresh batched insert of the survivors only.
         let mut fresh = ScalableVcf::new(config).unwrap();
-        let results = fresh.build_from_iter(&mut survivors.iter().copied());
+        let results = fresh.insert_batch(&survivors);
         prop_assert!(results.iter().all(Result::is_ok), "fresh build overflowed");
 
         prop_assert_eq!(chain.len(), survivors.len());
