@@ -6,7 +6,8 @@
 //! incidental implementation differences:
 //!
 //! * [`CuckooFilter`] — the standard two-candidate cuckoo filter of Fan et
-//!   al. (paper's primary baseline, Equ. 1).
+//!   al. (paper's primary baseline, Equ. 1), re-exported from `vcf-core`,
+//!   where it runs on the same engine as the VCF family.
 //! * [`DaryCuckooFilter`] — the D-ary cuckoo filter of Xie et al. with
 //!   base-`d` digit-wise modular offsets (the paper's DCF baseline, d = 4,
 //!   Equ. 2).
@@ -41,7 +42,6 @@ mod adaptive;
 pub mod base_d;
 mod bloom;
 mod counting_bloom;
-mod cuckoo;
 mod dary;
 mod dlcbf;
 mod quotient;
@@ -50,8 +50,8 @@ mod vacuum;
 pub use adaptive::AdaptiveCuckooFilter;
 pub use bloom::{BloomConfig, BloomFilter};
 pub use counting_bloom::CountingBloomFilter;
-pub use cuckoo::CuckooFilter;
 pub use dary::DaryCuckooFilter;
 pub use dlcbf::{DlCbfConfig, DlCountingBloomFilter};
 pub use quotient::QuotientFilter;
 pub use vacuum::VacuumFilter;
+pub use vcf_core::CuckooFilter;

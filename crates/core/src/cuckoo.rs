@@ -1,0 +1,558 @@
+//! One sequential cuckoo engine for the whole family.
+//!
+//! CF, VCF/IVCF, DVCF and k-VCF differ only in how an item's candidate
+//! buckets are derived (Equ. 1, Equ. 3/4, Algorithms 4–6, Equ. 6/7).
+//! Insertion, the random-walk eviction with rollback, lookup and
+//! deletion are one algorithm over those candidates, so they live here
+//! once, generic over a [`CandidatePolicy`].
+
+use crate::config::CuckooConfig;
+use crate::key;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use vcf_hash::HashKind;
+use vcf_table::SlotTable;
+use vcf_traits::{Counters, Filter, InsertError, Stats};
+
+/// How one filter variant derives candidate buckets.
+///
+/// A policy's one proof obligation is closure (Theorems 1 and 2): from
+/// any candidate bucket of an item, that bucket plus the resident's
+/// [`alternate`](Self::alternate)s is exactly the item's candidate set.
+/// Bucket arithmetic stays in `vertical.rs`.
+pub trait CandidatePolicy: Clone + core::fmt::Debug {
+    /// The slot table the policy's entries are stored in.
+    type Table: SlotTable;
+
+    /// Number of candidate buckets of a fingerprint (`k`).
+    fn candidate_count(&self, fingerprint: u32) -> usize;
+
+    /// Candidate `e < k` of an item with primary bucket `b1`,
+    /// fingerprint `fingerprint` and fingerprint hash `hfp`: the bucket
+    /// and the entry stored there.
+    fn candidate(
+        &self,
+        b1: usize,
+        hfp: u64,
+        fingerprint: u32,
+        e: usize,
+    ) -> (usize, <Self::Table as SlotTable>::Entry);
+
+    /// Alternate `i < k − 1` of `resident`, stored in `bucket`: one of
+    /// the other candidates, derived from the stored bits alone.
+    fn alternate(
+        &self,
+        bucket: usize,
+        hfp: u64,
+        resident: <Self::Table as SlotTable>::Entry,
+        i: usize,
+    ) -> (usize, <Self::Table as SlotTable>::Entry);
+
+    /// Index of the candidate the eviction walk starts from.
+    fn pick_start(&self, rng: &mut SmallRng, k: usize) -> usize {
+        rng.gen_range(0..k)
+    }
+
+    /// Index of the alternate a kicked-out victim is carried to when
+    /// none of its `n` alternates had room. A lone alternate costs no
+    /// draw.
+    fn pick_next(&self, rng: &mut SmallRng, n: usize) -> usize {
+        if n > 1 {
+            rng.gen_range(0..n)
+        } else {
+            0
+        }
+    }
+}
+
+/// A hashed item: fingerprint, primary bucket, fingerprint hash.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Key {
+    pub(crate) fp: u32,
+    pub(crate) b1: usize,
+    pub(crate) hfp: u64,
+}
+
+impl Key {
+    pub(crate) fn new(hash: HashKind, fp: u32, b1: usize) -> Self {
+        let hfp = hash.hash_fingerprint(fp);
+        Self { fp, b1, hfp }
+    }
+}
+
+/// Work one placement did; the caller flushes it into its counters.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct Tally {
+    pub(crate) probes: u64,
+    pub(crate) accesses: u64,
+    pub(crate) kicks: u64,
+    pub(crate) hashes: u64,
+}
+
+/// The eviction walk's state: the victim-selection PRNG, the kick limit
+/// `MAX` and the undo log replayed in reverse when a walk fails.
+#[derive(Debug, Clone)]
+pub(crate) struct Walk<E> {
+    rng: SmallRng,
+    pub(crate) max_kicks: u32,
+    undo: Vec<(usize, usize, E)>,
+}
+
+impl<E: Copy> Walk<E> {
+    pub(crate) fn new(seed: u64, max_kicks: u32) -> Self {
+        Self {
+            rng: SmallRng::seed_from_u64(seed),
+            max_kicks,
+            undo: Vec::new(),
+        }
+    }
+
+    /// Algorithm 1: first fit over the candidates, then a random walk
+    /// that evicts a random resident and relocates it to one of its own
+    /// alternates, up to `MAX` kicks. A failed walk is rolled back, so
+    /// the table is byte-identical to its state before the call.
+    pub(crate) fn place<P>(
+        &mut self,
+        policy: &P,
+        table: &mut P::Table,
+        hash: HashKind,
+        key: Key,
+    ) -> (Result<(), InsertError>, Tally)
+    where
+        P: CandidatePolicy,
+        P::Table: SlotTable<Entry = E>,
+    {
+        let slots = table.slots_per_bucket();
+        let mut t = Tally::default();
+        let k = policy.candidate_count(key.fp);
+        for e in 0..k {
+            let (bucket, entry) = policy.candidate(key.b1, key.hfp, key.fp, e);
+            t.probes += slots as u64;
+            t.accesses += 1;
+            if table.try_insert(bucket, entry).is_some() {
+                return (Ok(()), t);
+            }
+        }
+
+        self.undo.clear();
+        let start = policy.pick_start(&mut self.rng, k);
+        let (mut bucket, mut entry) = policy.candidate(key.b1, key.hfp, key.fp, start);
+        for _ in 0..self.max_kicks {
+            let slot = self.rng.gen_range(0..slots);
+            t.accesses += 1;
+            t.kicks += 1;
+            let Some(victim) = table.swap(bucket, slot, entry) else {
+                // The slot was free after all: the entry just landed.
+                return (Ok(()), t);
+            };
+            self.undo.push((bucket, slot, victim));
+            let fingerprint = P::Table::fingerprint(victim);
+            let hfp = hash.hash_fingerprint(fingerprint);
+            t.hashes += 1;
+            let n = policy.candidate_count(fingerprint) - 1;
+            for i in 0..n {
+                let (alt, moved) = policy.alternate(bucket, hfp, victim, i);
+                t.probes += slots as u64;
+                t.accesses += 1;
+                if table.try_insert(alt, moved).is_some() {
+                    return (Ok(()), t);
+                }
+            }
+            (bucket, entry) =
+                policy.alternate(bucket, hfp, victim, policy.pick_next(&mut self.rng, n));
+        }
+
+        for &(bucket, slot, previous) in self.undo.iter().rev() {
+            table.swap(bucket, slot, previous);
+        }
+        self.undo.clear();
+        (Err(InsertError::Full { kicks: t.kicks }), t)
+    }
+}
+
+/// The sequential cuckoo filter over candidate policy `P`.
+///
+/// Every variant is an alias of this type —
+/// [`VerticalCuckooFilter`](crate::VerticalCuckooFilter),
+/// [`Dvcf`](crate::Dvcf), [`KVcf`](crate::KVcf) and
+/// [`CuckooFilter`](crate::CuckooFilter) — with the paper's
+/// constructors on top.
+///
+/// # Guarantees
+///
+/// * **No false negatives**: inserted, un-deleted items are always found.
+/// * **Atomic insertion**: an insertion that fails with
+///   [`InsertError::Full`] rolls the eviction chain back, leaving the
+///   table byte-identical to its pre-insert state.
+/// * **Safe deletion** of items that were actually inserted, with
+///   fingerprint-multiset semantics.
+/// * **Batch ≡ serial**: [`Filter::insert_batch`] consumes the eviction
+///   PRNG in item order, so it leaves the same table as serial inserts.
+#[derive(Debug, Clone)]
+pub struct CuckooCore<P: CandidatePolicy> {
+    table: P::Table,
+    policy: P,
+    hash: HashKind,
+    seed: u64,
+    walk: Walk<<P::Table as SlotTable>::Entry>,
+    counters: Counters,
+    label: String,
+}
+
+impl<P: CandidatePolicy> CuckooCore<P> {
+    /// Assembles a filter; the variant constructors validate `config`
+    /// and build `table` first.
+    pub(crate) fn from_parts(
+        config: &CuckooConfig,
+        table: P::Table,
+        policy: P,
+        label: String,
+    ) -> Self {
+        Self {
+            table,
+            policy,
+            hash: config.hash,
+            seed: config.seed,
+            walk: Walk::new(config.seed, config.max_kicks),
+            counters: Counters::new(),
+            label,
+        }
+    }
+
+    /// The candidate policy in use.
+    pub(crate) fn policy(&self) -> &P {
+        &self.policy
+    }
+
+    /// Number of buckets `m`.
+    pub fn buckets(&self) -> usize {
+        self.table.buckets()
+    }
+
+    /// Slots per bucket `b`.
+    pub fn slots_per_bucket(&self) -> usize {
+        self.table.slots_per_bucket()
+    }
+
+    /// Fingerprint width `f` in bits.
+    pub fn fingerprint_bits(&self) -> u32 {
+        self.table.fingerprint_bits()
+    }
+
+    /// Heap bytes used by the slot table.
+    pub fn storage_bytes(&self) -> usize {
+        self.table.storage_bytes()
+    }
+
+    /// The hash function in use.
+    pub fn hash_kind(&self) -> HashKind {
+        self.hash
+    }
+
+    /// The relocation threshold `MAX`.
+    pub fn max_kicks(&self) -> u32 {
+        self.walk.max_kicks
+    }
+
+    /// The PRNG seed the filter was configured with.
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// Occupancy of the slot table — `α` as the paper measures it.
+    pub fn table_load_factor(&self) -> f64 {
+        self.table.occupied() as f64 / self.table.capacity() as f64
+    }
+
+    /// The slot table (snapshot persistence).
+    pub(crate) fn table(&self) -> &P::Table {
+        &self.table
+    }
+
+    /// The slot table, writable (snapshot restore).
+    pub(crate) fn table_mut(&mut self) -> &mut P::Table {
+        &mut self.table
+    }
+
+    #[inline]
+    fn key(&self, item: &[u8]) -> Key {
+        let index_mask = self.table.buckets() as u64 - 1;
+        let (fp, b1) = key::hash_item(self.hash, item, self.fingerprint_bits(), index_mask);
+        Key::new(self.hash, fp, b1)
+    }
+
+    #[inline]
+    fn candidate(&self, key: Key, e: usize) -> (usize, <P::Table as SlotTable>::Entry) {
+        self.policy.candidate(key.b1, key.hfp, key.fp, e)
+    }
+
+    /// Places a hashed item and records the insert.
+    fn insert_key(&mut self, key: Key) -> Result<(), InsertError> {
+        let (result, t) = self
+            .walk
+            .place(&self.policy, &mut self.table, self.hash, key);
+        // First fit, the common case, kicks nothing and hashes nothing
+        // more: skip two atomic adds.
+        if t.kicks > 0 {
+            self.counters.add_kicks(t.kicks);
+            self.counters.add_hashes(t.hashes);
+        }
+        self.counters.record_insert(t.probes, t.accesses);
+        if result.is_err() {
+            self.counters.add_failed_insert();
+        }
+        result
+    }
+}
+
+impl<P: CandidatePolicy> Filter for CuckooCore<P> {
+    // lint: hot-path
+    /// Algorithm 1: first fit, then the random walk with rollback.
+    fn insert(&mut self, item: &[u8]) -> Result<(), InsertError> {
+        let key = self.key(item);
+        self.counters.add_hashes(2); // hash(x) + hash(η)
+        self.insert_key(key)
+    }
+
+    // lint: hot-path
+    /// Pipelined Algorithm 1: hashes a window of items up front, issuing
+    /// a software prefetch for every candidate bucket as each key is
+    /// derived, then places them in item order through the serial path.
+    fn insert_batch(&mut self, items: &[&[u8]]) -> Vec<Result<(), InsertError>> {
+        const WINDOW: usize = 16;
+        let mut out = Vec::with_capacity(items.len());
+        let mut window = Vec::with_capacity(WINDOW);
+        for chunk in items.chunks(WINDOW) {
+            window.clear();
+            for item in chunk {
+                let key = self.key(item);
+                self.counters.add_hashes(2);
+                for e in 0..self.policy.candidate_count(key.fp) {
+                    self.table.prefetch_bucket(self.candidate(key, e).0);
+                }
+                window.push(key);
+            }
+            for &key in &window {
+                out.push(self.insert_key(key));
+            }
+        }
+        out
+    }
+
+    // lint: hot-path
+    /// Algorithm 2: probes the candidates until one holds the entry; all
+    /// `k` count as accessed (the paper's constant-time lookup).
+    fn contains(&self, item: &[u8]) -> bool {
+        let key = self.key(item);
+        let k = self.policy.candidate_count(key.fp);
+        let hit = (0..k).position(|e| {
+            let (bucket, entry) = self.candidate(key, e);
+            self.table.contains(bucket, entry)
+        });
+        let probed = hit.map_or(k, |e| e + 1);
+        let slots = self.table.slots_per_bucket();
+        self.counters
+            .record_lookup((probed * slots) as u64, k as u64);
+        hit.is_some()
+    }
+
+    // lint: hot-path
+    /// Batched Algorithm 2: hashes every item and touches its candidate
+    /// buckets first, then probes against warm lines; every candidate is
+    /// charged whatever the probe finds.
+    fn contains_batch(&self, items: &[&[u8]]) -> Vec<bool> {
+        let mut keys = Vec::with_capacity(items.len());
+        for item in items {
+            let key = self.key(item);
+            for e in 0..self.policy.candidate_count(key.fp) {
+                self.table.touch_bucket(self.candidate(key, e).0);
+            }
+            keys.push(key);
+        }
+        let slots = self.table.slots_per_bucket() as u64;
+        let mut out = Vec::with_capacity(items.len());
+        for &key in &keys {
+            let k = self.policy.candidate_count(key.fp);
+            let found = (0..k).any(|e| {
+                let (bucket, entry) = self.candidate(key, e);
+                self.table.contains(bucket, entry)
+            });
+            self.counters.record_lookup(k as u64 * slots, k as u64);
+            out.push(found);
+        }
+        out
+    }
+
+    // lint: hot-path
+    /// Algorithm 3: removes one copy from the first candidate holding
+    /// it. A repeated `(bucket, entry)` candidate is skipped — removing
+    /// it twice would delete two copies — and only the candidates
+    /// actually probed are charged.
+    fn delete(&mut self, item: &[u8]) -> bool {
+        let key = self.key(item);
+        let slots = self.table.slots_per_bucket() as u64;
+        let mut probed = 0u64;
+        let mut removed = false;
+        for e in 0..self.policy.candidate_count(key.fp) {
+            let (bucket, entry) = self.candidate(key, e);
+            if (0..e).any(|d| self.candidate(key, d) == (bucket, entry)) {
+                continue;
+            }
+            probed += 1;
+            if self.table.remove_one(bucket, entry) {
+                removed = true;
+                break;
+            }
+        }
+        self.counters.record_delete(probed * slots, probed);
+        removed
+    }
+
+    fn len(&self) -> usize {
+        self.table.occupied()
+    }
+
+    fn capacity(&self) -> usize {
+        self.table.capacity()
+    }
+
+    fn stats(&self) -> Stats {
+        self.counters.snapshot()
+    }
+
+    fn reset_stats(&mut self) {
+        self.counters.reset();
+    }
+
+    fn name(&self) -> String {
+        self.label.clone()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Cross-policy properties, each checked once over every policy.
+
+    use super::*;
+    use crate::{CuckooFilter, Dvcf, KVcf, VerticalCuckooFilter};
+    use vcf_hash::mix64;
+
+    fn config() -> CuckooConfig {
+        CuckooConfig::new(1 << 8).with_seed(42)
+    }
+
+    /// Theorem 1 (VCF, IVCF, DVCF, CF) and Theorem 2 (k-VCF): from every
+    /// candidate, the resident's alternates plus the candidate itself are
+    /// exactly the candidate list.
+    fn assert_closure<P: CandidatePolicy>(f: &CuckooCore<P>) {
+        let mask = f.buckets() as u64 - 1;
+        for i in 0..2000u64 {
+            let (fp, b1) = key::derive(mix64(i), f.fingerprint_bits(), mask);
+            let hfp = f.hash_kind().hash_fingerprint(fp);
+            let k = f.policy().candidate_count(fp);
+            let mut all: Vec<_> = (0..k)
+                .map(|e| f.policy().candidate(b1, hfp, fp, e))
+                .collect();
+            sort(&mut all);
+            for &(bucket, resident) in &all {
+                let mut reach: Vec<_> = (0..k - 1)
+                    .map(|j| f.policy().alternate(bucket, hfp, resident, j))
+                    .collect();
+                reach.push((bucket, resident));
+                sort(&mut reach);
+                assert_eq!(reach, all, "{}: closure broken at fp={fp:#x}", f.name());
+            }
+        }
+    }
+
+    fn sort<E: core::fmt::Debug>(v: &mut [(usize, E)]) {
+        v.sort_by_key(|c| format!("{c:?}"));
+    }
+
+    #[test]
+    fn every_policy_is_closed_under_relocation() {
+        assert_closure(&CuckooFilter::new(config()).unwrap());
+        assert_closure(&VerticalCuckooFilter::new(config()).unwrap());
+        assert_closure(&VerticalCuckooFilter::with_mask_ones(config(), 3).unwrap());
+        assert_closure(&Dvcf::with_r(config(), 0.5).unwrap());
+        for k in [2, 3, 7] {
+            assert_closure(&KVcf::new(config().with_fingerprint_bits(16), k).unwrap());
+        }
+    }
+
+    /// Fills one filter serially and one batched past full and compares
+    /// results, every slot, and the counters.
+    fn assert_batch_is_serial<P: CandidatePolicy>(make: impl Fn() -> CuckooCore<P>)
+    where
+        P::Table: PartialEq,
+    {
+        let keys: Vec<Vec<u8>> = (0..1100u32).map(|i| i.to_le_bytes().to_vec()).collect();
+        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+        let (mut serial, mut batched) = (make(), make());
+        let serial_results: Vec<_> = refs.iter().map(|k| serial.insert(k)).collect();
+        assert_eq!(
+            serial_results,
+            batched.insert_batch(&refs),
+            "{}",
+            serial.name()
+        );
+        assert!(
+            serial.table() == batched.table(),
+            "{}: tables diverge",
+            serial.name()
+        );
+        assert_eq!(serial.stats(), batched.stats(), "{}", serial.name());
+    }
+
+    #[test]
+    fn insert_batch_matches_serial_exactly() {
+        assert_batch_is_serial(|| CuckooFilter::new(config()).unwrap());
+        assert_batch_is_serial(|| VerticalCuckooFilter::new(config()).unwrap());
+        assert_batch_is_serial(|| Dvcf::with_r(config(), 0.5).unwrap());
+        assert_batch_is_serial(|| KVcf::new(config().with_fingerprint_bits(16), 6).unwrap());
+    }
+
+    fn b1_hit_accesses<P: CandidatePolicy>(mut f: CuckooCore<P>) -> u64 {
+        f.insert(b"only").unwrap();
+        f.reset_stats();
+        assert!(f.delete(b"only"));
+        f.stats().deletes.bucket_accesses
+    }
+
+    #[test]
+    fn delete_charges_only_probed_candidates() {
+        // An empty table places the first item in B1, so its delete
+        // hits on the first probe.
+        assert_eq!(b1_hit_accesses(CuckooFilter::new(config()).unwrap()), 1);
+        assert_eq!(
+            b1_hit_accesses(VerticalCuckooFilter::new(config()).unwrap()),
+            1
+        );
+        assert_eq!(b1_hit_accesses(Dvcf::with_r(config(), 0.5).unwrap()), 1);
+        assert_eq!(
+            b1_hit_accesses(KVcf::new(config().with_fingerprint_bits(16), 6).unwrap()),
+            1
+        );
+    }
+
+    #[test]
+    fn hashes_are_two_per_insert_plus_one_per_kick() {
+        fn check<P: CandidatePolicy>(mut f: CuckooCore<P>) {
+            for i in 0..1100u32 {
+                let _ = f.insert(&i.to_le_bytes());
+            }
+            let s = f.stats();
+            assert!(s.kicks > 0, "{}: fill must evict", f.name());
+            assert_eq!(
+                s.hash_computations,
+                2 * s.inserts.calls + s.kicks,
+                "{}",
+                f.name()
+            );
+        }
+        check(CuckooFilter::new(config()).unwrap());
+        check(VerticalCuckooFilter::new(config()).unwrap());
+        check(Dvcf::with_r(config(), 0.5).unwrap());
+        check(KVcf::new(config().with_fingerprint_bits(16), 6).unwrap());
+    }
+}

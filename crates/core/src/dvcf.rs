@@ -1,14 +1,13 @@
 //! The Differentiated Vertical Cuckoo Filter (Section IV-B).
 
 use crate::bitmask::MaskPair;
+use crate::cf::CfPolicy;
 use crate::config::CuckooConfig;
-use crate::key;
+use crate::cuckoo::{CandidatePolicy, CuckooCore};
+use crate::vcf::VcfPolicy;
 use crate::vertical::VerticalParams;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use vcf_hash::HashKind;
 use vcf_table::FingerprintTable;
-use vcf_traits::{BuildError, Counters, Filter, InsertError, Stats};
+use vcf_traits::BuildError;
 
 /// The Differentiated VCF: a *continuous* trade-off between CF and VCF.
 ///
@@ -24,7 +23,8 @@ use vcf_traits::{BuildError, Counters, Filter, InsertError, Stats};
 ///
 /// so `Δt` tunes `r = p` continuously where IVCF can only hit the discrete
 /// ladder of Equ. 8 — at the cost of one extra interval judgment on every
-/// operation (Algorithms 4–6).
+/// operation (Algorithms 4–6), including the judgment about each victim
+/// during relocation.
 ///
 /// # Examples
 ///
@@ -38,20 +38,55 @@ use vcf_traits::{BuildError, Counters, Filter, InsertError, Stats};
 /// assert!(dvcf.contains(b"stream-event-1"));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct Dvcf {
-    table: FingerprintTable,
-    params: VerticalParams,
-    hash: HashKind,
-    max_kicks: u32,
-    /// Interval bounds `[lo, hi]` (inclusive) for the four-candidate rule.
+pub type Dvcf = CuckooCore<DvcfPolicy>;
+
+/// Algorithms 4–6: the VCF rule inside the interval `[lo, hi]`
+/// (inclusive), the CF rule outside it.
+#[derive(Debug, Clone, Copy)]
+pub struct DvcfPolicy {
+    four: VcfPolicy,
+    two: CfPolicy,
     interval_lo: u32,
     interval_hi: u32,
-    rng: SmallRng,
-    /// Undo log for the current eviction walk, replayed in reverse when
-    /// the kick limit is reached so failed insertions leave no trace.
-    undo: Vec<(usize, usize, u32)>,
-    counters: Counters,
+}
+
+impl DvcfPolicy {
+    /// Whether `fingerprint` falls in the four-candidate interval `In₁`.
+    #[inline]
+    fn is_four(&self, fingerprint: u32) -> bool {
+        (self.interval_lo..=self.interval_hi).contains(&fingerprint)
+    }
+}
+
+impl CandidatePolicy for DvcfPolicy {
+    type Table = FingerprintTable;
+
+    #[inline]
+    fn candidate_count(&self, fingerprint: u32) -> usize {
+        if self.is_four(fingerprint) {
+            4
+        } else {
+            2
+        }
+    }
+
+    #[inline]
+    fn candidate(&self, b1: usize, hfp: u64, fingerprint: u32, e: usize) -> (usize, u32) {
+        if self.is_four(fingerprint) {
+            self.four.candidate(b1, hfp, fingerprint, e)
+        } else {
+            self.two.candidate(b1, hfp, fingerprint, e)
+        }
+    }
+
+    #[inline]
+    fn alternate(&self, bucket: usize, hfp: u64, resident: u32, i: usize) -> (usize, u32) {
+        if self.is_four(resident) {
+            self.four.alternate(bucket, hfp, resident, i)
+        } else {
+            self.two.alternate(bucket, hfp, resident, i)
+        }
+    }
 }
 
 impl Dvcf {
@@ -77,17 +112,19 @@ impl Dvcf {
         )?;
         let params = VerticalParams::new(masks, config.buckets);
         let half = (t / 2) as u32;
-        Ok(Self {
-            table,
-            params,
-            hash: config.hash,
-            max_kicks: config.max_kicks,
+        let policy = DvcfPolicy {
+            four: VcfPolicy { params, masks },
+            two: CfPolicy::new(config.buckets),
             interval_lo: half - delta_t,
             interval_hi: half.saturating_add(delta_t).min((t - 1) as u32),
-            rng: SmallRng::seed_from_u64(config.seed),
-            undo: Vec::new(),
-            counters: Counters::new(),
-        })
+        };
+        let r = f64::from(policy.interval_hi - policy.interval_lo) / t as f64;
+        Ok(Self::from_parts(
+            &config,
+            table,
+            policy,
+            format!("DVCF(r={r:.3})"),
+        ))
     }
 
     /// Builds a DVCF whose four-candidate fraction is (approximately) `r`
@@ -110,257 +147,22 @@ impl Dvcf {
 
     /// The configured four-candidate fraction `p = 2Δt / T` (Equ. 9).
     pub fn expected_r(&self) -> f64 {
-        let t = (1u64 << self.table.fingerprint_bits()) as f64;
-        f64::from(self.interval_hi - self.interval_lo) / t
+        let t = (1u64 << self.fingerprint_bits()) as f64;
+        let p = self.policy();
+        f64::from(p.interval_hi - p.interval_lo) / t
     }
 
     /// Whether `fingerprint` falls in the four-candidate interval `In₁`.
     #[inline]
     pub fn uses_four_candidates(&self, fingerprint: u32) -> bool {
-        (self.interval_lo..=self.interval_hi).contains(&fingerprint)
-    }
-
-    /// Number of buckets `m`.
-    pub fn buckets(&self) -> usize {
-        self.table.buckets()
-    }
-
-    /// Occupancy of the slot table only — `α` as the paper measures it.
-    pub fn table_load_factor(&self) -> f64 {
-        self.table.load_factor()
-    }
-
-    #[inline]
-    fn key_of(&self, item: &[u8]) -> (u32, usize) {
-        key::hash_item(
-            self.hash,
-            item,
-            self.table.fingerprint_bits(),
-            self.params.index_mask(),
-        )
-    }
-
-    /// Candidate buckets for `fingerprint` anchored at `b1`: four entries
-    /// in `In₁`, two otherwise. Returns `(buckets, len)`.
-    #[inline]
-    fn candidate_list(&self, fingerprint: u32, b1: usize, hfp: u64) -> ([usize; 4], usize) {
-        if self.uses_four_candidates(fingerprint) {
-            let c = self.params.candidates(b1, hfp);
-            (c.buckets, 4)
-        } else {
-            let alt = self.params.cf_alternate(b1, hfp);
-            ([b1, alt, 0, 0], 2)
-        }
-    }
-
-    /// Places an already-hashed item: Algorithm 4's random walk, with
-    /// rollback-on-failure and bucket accesses counted as they happen.
-    fn insert_prehashed(
-        &mut self,
-        fingerprint: u32,
-        cands: [usize; 4],
-        len: usize,
-    ) -> Result<(), InsertError> {
-        let slots = self.table.slots_per_bucket();
-        let mut probes = 0u64;
-        let mut bucket_accesses = 0u64;
-        for &bucket in &cands[..len] {
-            probes += slots as u64;
-            bucket_accesses += 1;
-            if self.table.try_insert(bucket, fingerprint).is_some() {
-                self.counters.record_insert(probes, bucket_accesses);
-                return Ok(());
-            }
-        }
-
-        self.undo.clear();
-        let mut current_fp = fingerprint;
-        let mut current_bucket = cands[self.rng.gen_range(0..len)];
-        let mut kicks = 0u64;
-        for _ in 0..self.max_kicks {
-            let slot = self.rng.gen_range(0..slots);
-            let victim = self.table.swap(current_bucket, slot, current_fp);
-            bucket_accesses += 1;
-            self.undo.push((current_bucket, slot, victim));
-            current_fp = victim;
-            kicks += 1;
-
-            // "During each relocation, the judgment about the victim's
-            // location is necessary before reinserting this victim."
-            let victim_hash = self.hash.hash_fingerprint(current_fp);
-            self.counters.add_hashes(1);
-            if self.uses_four_candidates(current_fp) {
-                let alts = self.params.alternates(current_bucket, victim_hash);
-                let mut placed = false;
-                for &alt in &alts {
-                    probes += slots as u64;
-                    bucket_accesses += 1;
-                    if self.table.try_insert(alt, current_fp).is_some() {
-                        placed = true;
-                        break;
-                    }
-                }
-                if placed {
-                    self.counters.add_kicks(kicks);
-                    self.counters.record_insert(probes, bucket_accesses);
-                    return Ok(());
-                }
-                current_bucket = alts[self.rng.gen_range(0..3)];
-            } else {
-                let alt = self.params.cf_alternate(current_bucket, victim_hash);
-                probes += slots as u64;
-                bucket_accesses += 1;
-                if self.table.try_insert(alt, current_fp).is_some() {
-                    self.counters.add_kicks(kicks);
-                    self.counters.record_insert(probes, bucket_accesses);
-                    return Ok(());
-                }
-                current_bucket = alt;
-            }
-        }
-
-        for &(bucket, slot, previous) in self.undo.iter().rev() {
-            self.table.set(bucket, slot, previous);
-        }
-        self.undo.clear();
-        self.counters.add_kicks(kicks);
-        self.counters.record_insert(probes, bucket_accesses);
-        self.counters.add_failed_insert();
-        Err(InsertError::Full { kicks })
-    }
-}
-
-impl Filter for Dvcf {
-    /// Algorithm 4.
-    fn insert(&mut self, item: &[u8]) -> Result<(), InsertError> {
-        let (fingerprint, b1) = self.key_of(item);
-        let hfp = self.hash.hash_fingerprint(fingerprint);
-        self.counters.add_hashes(2);
-        let (cands, len) = self.candidate_list(fingerprint, b1, hfp);
-        self.insert_prehashed(fingerprint, cands, len)
-    }
-
-    /// Pipelined Algorithm 4: interval judgments, candidate derivation
-    /// and bucket prefetches for a window of items first, then in-order
-    /// placement through the same path as serial [`insert`](Self::insert)
-    /// (identical PRNG consumption, so batch ≡ serial exactly).
-    fn insert_batch(&mut self, items: &[&[u8]]) -> Vec<Result<(), InsertError>> {
-        const WINDOW: usize = 16;
-        let mut out = Vec::with_capacity(items.len());
-        let mut window = Vec::with_capacity(WINDOW);
-        for chunk in items.chunks(WINDOW) {
-            window.clear();
-            for item in chunk {
-                let (fingerprint, b1) = self.key_of(item);
-                let hfp = self.hash.hash_fingerprint(fingerprint);
-                self.counters.add_hashes(2);
-                let (cands, len) = self.candidate_list(fingerprint, b1, hfp);
-                for &bucket in &cands[..len] {
-                    self.table.prefetch_bucket(bucket);
-                }
-                window.push((fingerprint, cands, len));
-            }
-            for &(fingerprint, cands, len) in &window {
-                out.push(self.insert_prehashed(fingerprint, cands, len));
-            }
-        }
-        out
-    }
-
-    /// Algorithm 5.
-    fn contains(&self, item: &[u8]) -> bool {
-        let (fingerprint, b1) = self.key_of(item);
-        let hfp = self.hash.hash_fingerprint(fingerprint);
-        let (cands, len) = self.candidate_list(fingerprint, b1, hfp);
-        let mut probes = 0u64;
-        let mut found = false;
-        for &bucket in &cands[..len] {
-            probes += self.table.slots_per_bucket() as u64;
-            if self.table.contains(bucket, fingerprint) {
-                found = true;
-                break;
-            }
-        }
-        self.counters.record_lookup(probes, len as u64);
-        found
-    }
-
-    /// Batched Algorithm 5: interval judgments and candidate derivation
-    /// for the whole batch first (touching each primary bucket early),
-    /// then a probe pass over the precomputed candidate lists.
-    fn contains_batch(&self, items: &[&[u8]]) -> Vec<bool> {
-        let mut keys = Vec::with_capacity(items.len());
-        for item in items {
-            let (fingerprint, b1) = self.key_of(item);
-            let hfp = self.hash.hash_fingerprint(fingerprint);
-            let (cands, len) = self.candidate_list(fingerprint, b1, hfp);
-            for &bucket in &cands[..len] {
-                self.table.touch_bucket(bucket);
-            }
-            keys.push((fingerprint, cands, len));
-        }
-        let slots = self.table.slots_per_bucket() as u64;
-        let mut out = Vec::with_capacity(items.len());
-        for &(fingerprint, cands, len) in &keys {
-            // One early-exit probe over the candidate list; the counters
-            // charge every candidate whatever the probe finds.
-            let found = self.table.contains_any(&cands[..len], fingerprint);
-            self.counters.record_lookup(len as u64 * slots, len as u64);
-            out.push(found);
-        }
-        out
-    }
-
-    /// Algorithm 6.
-    fn delete(&mut self, item: &[u8]) -> bool {
-        let (fingerprint, b1) = self.key_of(item);
-        let hfp = self.hash.hash_fingerprint(fingerprint);
-        let (cands, len) = self.candidate_list(fingerprint, b1, hfp);
-        let mut probes = 0u64;
-        let mut removed = false;
-        let mut tried = [usize::MAX; 4];
-        let mut tried_len = 0;
-        debug_assert!(len <= tried.len(), "at most 4 candidate buckets");
-        for &bucket in &cands[..len] {
-            if tried[..tried_len].contains(&bucket) {
-                continue;
-            }
-            tried[tried_len] = bucket;
-            tried_len += 1;
-            probes += self.table.slots_per_bucket() as u64;
-            if self.table.remove_one(bucket, fingerprint) {
-                removed = true;
-                break;
-            }
-        }
-        self.counters.record_delete(probes, tried_len as u64);
-        removed
-    }
-
-    fn len(&self) -> usize {
-        self.table.occupied()
-    }
-
-    fn capacity(&self) -> usize {
-        self.table.capacity()
-    }
-
-    fn stats(&self) -> Stats {
-        self.counters.snapshot()
-    }
-
-    fn reset_stats(&mut self) {
-        self.counters.reset();
-    }
-
-    fn name(&self) -> String {
-        format!("DVCF(r={:.3})", self.expected_r())
+        self.policy().is_four(fingerprint)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vcf_traits::Filter;
 
     fn key(i: u64) -> Vec<u8> {
         format!("dvcf-{i}").into_bytes()
@@ -478,24 +280,5 @@ mod tests {
             (stored, f.stats().kicks)
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn insert_batch_matches_serial_exactly() {
-        let keys: Vec<Vec<u8>> = (0..1100).map(key).collect();
-        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-        let config = CuckooConfig::new(1 << 8).with_seed(33);
-
-        let mut serial = Dvcf::with_r(config, 0.5).unwrap();
-        let serial_results: Vec<_> = refs.iter().map(|k| serial.insert(k)).collect();
-        let mut batched = Dvcf::with_r(config, 0.5).unwrap();
-        let batch_results = batched.insert_batch(&refs);
-
-        assert_eq!(serial_results, batch_results);
-        assert_eq!(serial.len(), batched.len());
-        assert_eq!(serial.stats().kicks, batched.stats().kicks);
-        for k in &refs {
-            assert_eq!(serial.contains(k), batched.contains(k));
-        }
     }
 }

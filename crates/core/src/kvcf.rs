@@ -2,13 +2,17 @@
 //! per-slot mark bits.
 
 use crate::config::CuckooConfig;
-use crate::key;
+use crate::cuckoo::{CandidatePolicy, CuckooCore};
 use crate::vertical::{masked_candidate, masked_relocate};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use vcf_hash::{HashKind, SplitMix64};
+use rand::Rng;
+use vcf_hash::SplitMix64;
 use vcf_table::{MarkedEntry, MarkedTable};
-use vcf_traits::{BuildError, Counters, Filter, InsertError, Stats};
+use vcf_traits::BuildError;
+
+/// Largest supported `k`: a slot's mark and the `VCK1` header hold a
+/// candidate index in one byte.
+const MAX_K: usize = u8::MAX as usize;
 
 /// The generalized Vertical Cuckoo Filter with `k` candidate buckets.
 ///
@@ -45,21 +49,57 @@ use vcf_traits::{BuildError, Counters, Filter, InsertError, Stats};
 /// assert!(filter.contains(b"k-vcf item"));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
+pub type KVcf = CuckooCore<KVcfPolicy>;
+
+/// Equ. 6/7: candidate `e` is `B1 ⊕ (hash(η) ∧ bm_e)`, and the stored
+/// mark `g` names the candidate a resident occupies.
 #[derive(Debug, Clone)]
-pub struct KVcf {
-    table: MarkedTable,
+pub struct KVcfPolicy {
     /// `masks[e]` for `e = 0..k`; `masks[0] = 0`, `masks[k-1]` = full
     /// domain. Already restricted to the index range.
     masks: Vec<u64>,
-    hash: HashKind,
-    max_kicks: u32,
-    seed: u64,
     index_mask: u64,
-    rng: SmallRng,
-    /// Undo log for the current eviction walk: `(bucket, slot, previous
-    /// entry)` per swap, replayed in reverse on failure.
-    undo: Vec<(usize, usize, MarkedEntry)>,
-    counters: Counters,
+}
+
+impl CandidatePolicy for KVcfPolicy {
+    type Table = MarkedTable;
+
+    #[inline]
+    fn candidate_count(&self, _fingerprint: u32) -> usize {
+        self.masks.len()
+    }
+
+    /// Equ. 6, marked with its candidate index.
+    #[inline]
+    fn candidate(&self, b1: usize, hfp: u64, fingerprint: u32, e: usize) -> (usize, MarkedEntry) {
+        debug_assert!(e < self.masks.len());
+        let bucket = masked_candidate(b1, hfp, self.masks[e], self.index_mask);
+        let mark = e as u8;
+        (bucket, MarkedEntry { fingerprint, mark })
+    }
+
+    /// Equ. 7 from the resident's mark `g` to the `i`-th other candidate.
+    #[inline]
+    fn alternate(
+        &self,
+        bucket: usize,
+        hfp: u64,
+        resident: MarkedEntry,
+        i: usize,
+    ) -> (usize, MarkedEntry) {
+        let g = usize::from(resident.mark);
+        let e = if i >= g { i + 1 } else { i };
+        debug_assert!(g < self.masks.len() && e < self.masks.len());
+        let moved = masked_relocate(bucket, hfp, self.masks[g], self.masks[e], self.index_mask);
+        let mark = e as u8;
+        (moved, MarkedEntry { mark, ..resident })
+    }
+
+    /// The paper's walk draws among the `k − 1` other candidates on
+    /// every kick, even when only one exists.
+    fn pick_next(&self, rng: &mut SmallRng, n: usize) -> usize {
+        rng.gen_range(0..n)
+    }
 }
 
 impl KVcf {
@@ -71,13 +111,14 @@ impl KVcf {
     ///
     /// # Errors
     ///
-    /// Returns a [`BuildError`] for invalid geometry, `k < 2`, or a table
-    /// too small to host `k − 2` distinct intermediate masks.
+    /// Returns a [`BuildError`] for invalid geometry, `k < 2`, `k > 255`
+    /// (a mark is one byte), or a table too small to host `k − 2`
+    /// distinct intermediate masks.
     pub fn new(config: CuckooConfig, k: usize) -> Result<Self, BuildError> {
         config.validate()?;
-        if k < 2 {
+        if !(2..=MAX_K).contains(&k) {
             return Err(BuildError::InvalidConfig {
-                reason: format!("k-VCF needs k >= 2 candidate buckets, got {k}"),
+                reason: format!("k-VCF needs 2 <= k <= {MAX_K} candidate buckets, got {k}"),
             });
         }
         let index_bits = config.buckets.trailing_zeros().max(1);
@@ -112,339 +153,28 @@ impl KVcf {
             config.fingerprint_bits,
             k,
         )?;
-        Ok(Self {
-            table,
+        let policy = KVcfPolicy {
             masks,
-            hash: config.hash,
-            max_kicks: config.max_kicks,
-            seed: config.seed,
             index_mask: config.buckets as u64 - 1,
-            rng: SmallRng::seed_from_u64(config.seed),
-            undo: Vec::new(),
-            counters: Counters::new(),
-        })
+        };
+        Ok(Self::from_parts(&config, table, policy, format!("{k}-VCF")))
     }
 
     /// Number of candidate buckets `k`.
     pub fn k(&self) -> usize {
-        self.masks.len()
+        self.policy().masks.len()
     }
 
     /// Mark-field width in bits (storage overhead per slot).
     pub fn mark_bits(&self) -> u32 {
-        self.table.mark_bits()
-    }
-
-    /// Occupancy of the slot table only — `α` as the paper measures it.
-    pub fn table_load_factor(&self) -> f64 {
-        self.table.load_factor()
-    }
-
-    /// The hash function in use.
-    pub fn hash_kind(&self) -> HashKind {
-        self.hash
-    }
-
-    /// The relocation threshold `MAX`.
-    pub fn max_kicks(&self) -> u32 {
-        self.max_kicks
-    }
-
-    /// The PRNG seed the filter was configured with (also regenerates the
-    /// intermediate bitmasks deterministically).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Read access to the marked table (snapshot persistence).
-    pub(crate) fn table(&self) -> &MarkedTable {
-        &self.table
-    }
-
-    /// Write access to the marked table (snapshot restore).
-    pub(crate) fn table_mut(&mut self) -> &mut MarkedTable {
-        &mut self.table
-    }
-
-    #[inline]
-    fn key_of(&self, item: &[u8]) -> (u32, usize) {
-        key::hash_item(
-            self.hash,
-            item,
-            self.table.fingerprint_bits(),
-            self.index_mask,
-        )
-    }
-
-    /// Equ. 6: candidate bucket `B_e` anchored at `b1`. Delegates to
-    /// [`masked_candidate`] so the Theorem-2 arithmetic stays confined
-    /// to `vertical.rs`.
-    #[inline]
-    fn candidate(&self, b1: usize, hfp: u64, e: usize) -> usize {
-        debug_assert!(e < self.masks.len());
-        masked_candidate(b1, hfp, self.masks[e], self.index_mask)
-    }
-
-    /// Equ. 7: move from candidate `g` (bucket `bg`) to candidate `e`.
-    /// Delegates to [`masked_relocate`]; closure over the candidate
-    /// coset is proven (and tested) at the definition site.
-    #[inline]
-    fn relocate(&self, bg: usize, hfp: u64, g: usize, e: usize) -> usize {
-        debug_assert!(g < self.masks.len() && e < self.masks.len());
-        masked_relocate(bg, hfp, self.masks[g], self.masks[e], self.index_mask)
-    }
-
-    /// Places an already-hashed item: the paper's random-walk relocation
-    /// over Equ. 7, with rollback-on-failure and bucket accesses counted
-    /// as they happen.
-    fn insert_prehashed(
-        &mut self,
-        fingerprint: u32,
-        b1: usize,
-        hfp: u64,
-    ) -> Result<(), InsertError> {
-        let k = self.k();
-        let slots = self.table.slots_per_bucket();
-
-        let mut probes = 0u64;
-        for e in 0..k {
-            let bucket = self.candidate(b1, hfp, e);
-            probes += slots as u64;
-            let entry = MarkedEntry {
-                fingerprint,
-                mark: e as u8,
-            };
-            if self.table.try_insert(bucket, entry).is_some() {
-                self.counters.record_insert(probes, (e + 1) as u64);
-                return Ok(());
-            }
-        }
-
-        if self.max_kicks == 0 {
-            // Table V regime: no relocation at all.
-            self.counters.record_insert(probes, k as u64);
-            self.counters.add_failed_insert();
-            return Err(InsertError::Full { kicks: 0 });
-        }
-
-        self.undo.clear();
-        let mut cur_mark = self.rng.gen_range(0..k);
-        let mut cur_bucket = self.candidate(b1, hfp, cur_mark);
-        let mut cur_entry = MarkedEntry {
-            fingerprint,
-            mark: cur_mark as u8,
-        };
-        let mut kicks = 0u64;
-        let mut bucket_accesses = k as u64;
-        for _ in 0..self.max_kicks {
-            let slot = self.rng.gen_range(0..slots);
-            bucket_accesses += 1;
-            let Some(victim) = self.table.swap(cur_bucket, slot, cur_entry) else {
-                // Eviction targets full buckets, but a slot freed by the
-                // relocation attempts above is fair game: the entry just
-                // landed in it, so the walk is done.
-                self.counters.add_kicks(kicks + 1);
-                self.counters.record_insert(probes, bucket_accesses);
-                return Ok(());
-            };
-            self.undo.push((cur_bucket, slot, victim));
-            kicks += 1;
-
-            // Access both the fingerprint field and the counter field,
-            // then compute the victim's other candidates via Equ. 7.
-            let victim_hash = self.hash.hash_fingerprint(victim.fingerprint);
-            self.counters.add_hashes(1);
-            let g = usize::from(victim.mark);
-            let mut placed = false;
-            for e in (0..k).filter(|&e| e != g) {
-                let bucket = self.relocate(cur_bucket, victim_hash, g, e);
-                probes += slots as u64;
-                bucket_accesses += 1;
-                let entry = MarkedEntry {
-                    fingerprint: victim.fingerprint,
-                    mark: e as u8,
-                };
-                if self.table.try_insert(bucket, entry).is_some() {
-                    placed = true;
-                    break;
-                }
-            }
-            if placed {
-                self.counters.add_kicks(kicks);
-                self.counters.record_insert(probes, bucket_accesses);
-                return Ok(());
-            }
-            // Carry the victim to a random other candidate.
-            let e = {
-                let mut e = self.rng.gen_range(0..k - 1);
-                if e >= g {
-                    e += 1;
-                }
-                e
-            };
-            cur_bucket = self.relocate(cur_bucket, victim_hash, g, e);
-            cur_mark = e;
-            cur_entry = MarkedEntry {
-                fingerprint: victim.fingerprint,
-                mark: cur_mark as u8,
-            };
-        }
-
-        for &(bucket, slot, previous) in self.undo.iter().rev() {
-            self.table.swap(bucket, slot, previous);
-        }
-        self.undo.clear();
-        self.counters.add_kicks(kicks);
-        self.counters.record_insert(probes, bucket_accesses);
-        self.counters.add_failed_insert();
-        Err(InsertError::Full { kicks })
-    }
-}
-
-impl Filter for KVcf {
-    fn insert(&mut self, item: &[u8]) -> Result<(), InsertError> {
-        let (fingerprint, b1) = self.key_of(item);
-        let hfp = self.hash.hash_fingerprint(fingerprint);
-        self.counters.add_hashes(2);
-        self.insert_prehashed(fingerprint, b1, hfp)
-    }
-
-    /// Pipelined insertion: hashes a window of items and prefetches all
-    /// `k` candidate buckets per item first, then places entries in item
-    /// order through the same path as serial [`insert`](Self::insert)
-    /// (identical PRNG consumption, so batch ≡ serial exactly).
-    fn insert_batch(&mut self, items: &[&[u8]]) -> Vec<Result<(), InsertError>> {
-        const WINDOW: usize = 16;
-        let mut out = Vec::with_capacity(items.len());
-        let mut window = Vec::with_capacity(WINDOW);
-        for chunk in items.chunks(WINDOW) {
-            window.clear();
-            for item in chunk {
-                let (fingerprint, b1) = self.key_of(item);
-                let hfp = self.hash.hash_fingerprint(fingerprint);
-                self.counters.add_hashes(2);
-                for e in 0..self.k() {
-                    self.table.prefetch_bucket(self.candidate(b1, hfp, e));
-                }
-                window.push((fingerprint, b1, hfp));
-            }
-            for &(fingerprint, b1, hfp) in &window {
-                out.push(self.insert_prehashed(fingerprint, b1, hfp));
-            }
-        }
-        out
-    }
-
-    fn contains(&self, item: &[u8]) -> bool {
-        let (fingerprint, b1) = self.key_of(item);
-        let hfp = self.hash.hash_fingerprint(fingerprint);
-        let k = self.k();
-        let mut probes = 0u64;
-        let mut found = false;
-        for e in 0..k {
-            let bucket = self.candidate(b1, hfp, e);
-            probes += self.table.slots_per_bucket() as u64;
-            if self.table.contains(
-                bucket,
-                MarkedEntry {
-                    fingerprint,
-                    mark: e as u8,
-                },
-            ) {
-                found = true;
-                break;
-            }
-        }
-        self.counters.record_lookup(probes, k as u64);
-        found
-    }
-
-    /// Batched lookup: hashes every item and touches its primary bucket
-    /// (`B1`, candidate `e = 0`) first, then probes the `k` candidates per
-    /// item with exact `(fingerprint, mark)` SWAR matches.
-    fn contains_batch(&self, items: &[&[u8]]) -> Vec<bool> {
-        let mut keys = Vec::with_capacity(items.len());
-        for item in items {
-            let (fingerprint, b1) = self.key_of(item);
-            let hfp = self.hash.hash_fingerprint(fingerprint);
-            for e in 0..self.k() {
-                self.table.touch_bucket(self.candidate(b1, hfp, e));
-            }
-            keys.push((fingerprint, b1, hfp));
-        }
-        let k = self.k();
-        let slots = self.table.slots_per_bucket() as u64;
-        let mut out = Vec::with_capacity(items.len());
-        let mut buckets = Vec::with_capacity(k);
-        let mut entries = Vec::with_capacity(k);
-        for &(fingerprint, b1, hfp) in &keys {
-            // One early-exit probe over all k candidates, each with its
-            // own (fingerprint, mark) pattern; the counters charge every
-            // candidate whatever the probe finds.
-            buckets.clear();
-            entries.clear();
-            for e in 0..k {
-                buckets.push(self.candidate(b1, hfp, e));
-                entries.push(MarkedEntry {
-                    fingerprint,
-                    mark: e as u8,
-                });
-            }
-            let found = self.table.contains_any(&buckets, &entries);
-            self.counters.record_lookup(k as u64 * slots, k as u64);
-            out.push(found);
-        }
-        out
-    }
-
-    fn delete(&mut self, item: &[u8]) -> bool {
-        let (fingerprint, b1) = self.key_of(item);
-        let hfp = self.hash.hash_fingerprint(fingerprint);
-        let k = self.k();
-        let mut probes = 0u64;
-        let mut removed = false;
-        for e in 0..k {
-            let bucket = self.candidate(b1, hfp, e);
-            probes += self.table.slots_per_bucket() as u64;
-            if self.table.remove_one(
-                bucket,
-                MarkedEntry {
-                    fingerprint,
-                    mark: e as u8,
-                },
-            ) {
-                removed = true;
-                break;
-            }
-        }
-        self.counters.record_delete(probes, k as u64);
-        removed
-    }
-
-    fn len(&self) -> usize {
-        self.table.occupied()
-    }
-
-    fn capacity(&self) -> usize {
-        self.table.capacity()
-    }
-
-    fn stats(&self) -> Stats {
-        self.counters.snapshot()
-    }
-
-    fn reset_stats(&mut self) {
-        self.counters.reset();
-    }
-
-    fn name(&self) -> String {
-        format!("{}-VCF", self.k())
+        self.table().mark_bits()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vcf_traits::Filter;
 
     fn config() -> CuckooConfig {
         CuckooConfig::new(1 << 8)
@@ -464,33 +194,54 @@ mod tests {
         assert!(KVcf::new(config(), 10).is_ok());
     }
 
+    /// Marks and the `VCK1` header store `k` in a byte: `k = 256` would
+    /// wrap a kicked entry's mark and lose the key, so it is refused.
     #[test]
-    fn masks_are_distinct_and_bounded() {
-        let f = KVcf::new(config(), 9).unwrap();
-        let mut masks = f.masks.clone();
-        assert_eq!(masks[0], 0);
-        assert_eq!(*masks.last().unwrap(), f.index_mask.min((1 << 16) - 1));
-        masks.sort_unstable();
-        masks.dedup();
-        assert_eq!(masks.len(), 9, "masks must be pairwise distinct");
+    fn rejects_k_beyond_the_mark_byte() {
+        let wide = CuckooConfig::new(1 << 10).with_fingerprint_bits(16);
+        assert!(matches!(
+            KVcf::new(wide, 256),
+            Err(BuildError::InvalidConfig { .. })
+        ));
+        assert!(KVcf::new(wide, MAX_K).is_ok());
     }
 
     #[test]
-    fn theorem2_relocation_reaches_all_candidates() {
-        let f = KVcf::new(config(), 7).unwrap();
-        let hfp = 0xdead_beef_1234_5678;
-        let b1 = 99 & f.index_mask as usize;
-        let all: Vec<usize> = (0..7).map(|e| f.candidate(b1, hfp, e)).collect();
-        // From any candidate g, Equ. 7 must land exactly on candidate e.
-        for g in 0..7 {
-            for e in 0..7 {
-                assert_eq!(
-                    f.relocate(all[g], hfp, g, e),
-                    all[e],
-                    "Equ. 7 broken for g={g} e={e}"
-                );
+    fn k255_fills_past_full_without_false_negatives_and_round_trips() {
+        let config = CuckooConfig::new(1 << 10)
+            .with_fingerprint_bits(16)
+            .with_seed(5);
+        let mut f = KVcf::new(config, 255).unwrap();
+        let mut acknowledged = Vec::new();
+        for i in 0..(f.capacity() as u64 + 64) {
+            if f.insert(&key(i)).is_ok() {
+                acknowledged.push(i);
             }
         }
+        assert!(f.stats().kicks > 0, "the fill must relocate marked entries");
+        for &i in &acknowledged {
+            assert!(f.contains(&key(i)), "acknowledged {i} lost");
+        }
+        let restored = KVcf::from_snapshot(&f.to_snapshot()).unwrap();
+        assert_eq!(restored.k(), 255);
+        assert_eq!(restored.len(), f.len());
+        for &i in &acknowledged {
+            assert!(restored.contains(&key(i)), "{i} lost by VCK1");
+        }
+    }
+
+    #[test]
+    fn masks_are_distinct_and_bounded() {
+        let f = KVcf::new(config(), 9).unwrap();
+        let mut masks = f.policy().masks.clone();
+        assert_eq!(masks[0], 0);
+        assert_eq!(
+            *masks.last().unwrap(),
+            f.policy().index_mask.min((1 << 16) - 1)
+        );
+        masks.sort_unstable();
+        masks.dedup();
+        assert_eq!(masks.len(), 9, "masks must be pairwise distinct");
     }
 
     #[test]
@@ -593,23 +344,5 @@ mod tests {
             (stored, f.stats().kicks)
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn insert_batch_matches_serial_exactly() {
-        let keys: Vec<Vec<u8>> = (0..1100).map(key).collect();
-        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-
-        let mut serial = KVcf::new(config(), 6).unwrap();
-        let serial_results: Vec<_> = refs.iter().map(|k| serial.insert(k)).collect();
-        let mut batched = KVcf::new(config(), 6).unwrap();
-        let batch_results = batched.insert_batch(&refs);
-
-        assert_eq!(serial_results, batch_results);
-        assert_eq!(serial.len(), batched.len());
-        assert_eq!(serial.stats().kicks, batched.stats().kicks);
-        for k in &refs {
-            assert_eq!(serial.contains(k), batched.contains(k));
-        }
     }
 }

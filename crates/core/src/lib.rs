@@ -13,6 +13,13 @@
 //!   (Section IV-B, Algorithms 4–6).
 //! * [`KVcf`] — the generalized k-VCF with `k ≥ 4` candidate buckets and
 //!   per-slot mark bits (Section III-C, Theorem 2).
+//! * [`CuckooFilter`] — the standard two-candidate CF (Equ. 1), the
+//!   paper's baseline.
+//!
+//! All four are aliases of one engine, [`CuckooCore`], over a
+//! [`CandidatePolicy`] that derives the candidate buckets; insertion,
+//! the random-walk eviction with rollback, lookup and deletion exist
+//! once.
 //!
 //! ## Vertical hashing in one paragraph
 //!
@@ -51,8 +58,10 @@
 #![warn(missing_docs)]
 
 mod bitmask;
+mod cf;
 mod concurrent;
 mod config;
+mod cuckoo;
 mod dvcf;
 mod dynamic;
 mod kvcf;
@@ -66,16 +75,18 @@ mod vcf;
 mod vertical;
 
 pub use bitmask::MaskPair;
+pub use cf::{CfPolicy, CuckooFilter};
 pub use concurrent::ConcurrentVcf;
 pub use config::CuckooConfig;
-pub use dvcf::Dvcf;
+pub use cuckoo::{CandidatePolicy, CuckooCore};
+pub use dvcf::{Dvcf, DvcfPolicy};
 pub use dynamic::DynamicVcf;
-pub use kvcf::KVcf;
+pub use kvcf::{KVcf, KVcfPolicy};
 pub use scalable::{MigrationStats, ScalableVcf};
 pub use sharded::{ShardRouter, ShardedConcurrentVcf, ShardedScalableVcf, ShardedVcf};
 pub use snapshot::SnapshotError;
 pub use tiered::{RotationStats, TieredFilter};
-pub use vcf::VerticalCuckooFilter;
+pub use vcf::{VcfPolicy, VerticalCuckooFilter};
 pub use vertical::{Candidates, VerticalParams};
 
 pub(crate) mod key {

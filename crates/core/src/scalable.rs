@@ -67,11 +67,9 @@
 
 use crate::bitmask::MaskPair;
 use crate::config::CuckooConfig;
+use crate::cuckoo::{CandidatePolicy, Key, Tally, Walk};
 use crate::key;
-use crate::vertical::{Candidates, VerticalParams};
-use core::cell::Cell;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use crate::vertical::VerticalParams;
 use vcf_hash::HashKind;
 use vcf_table::FingerprintTable;
 use vcf_traits::{BuildError, Counters, Filter, InsertError, ScalableFilter, Stats};
@@ -125,25 +123,6 @@ struct Segment {
     drained: usize,
 }
 
-/// Work tally for one placement, aggregated in plain cells and flushed
-/// by the caller — keeps migration/rebuild work out of the user-facing
-/// counters and avoids double-charging the retry-after-grow path.
-#[derive(Debug, Default)]
-struct PlaceTally {
-    probes: Cell<u64>,
-    accesses: Cell<u64>,
-    kicks: Cell<u64>,
-    hashes: Cell<u64>,
-}
-
-impl PlaceTally {
-    #[inline]
-    fn bump(&self, probes: u64, accesses: u64) {
-        self.probes.set(self.probes.get() + probes);
-        self.accesses.set(self.accesses.get() + accesses);
-    }
-}
-
 /// Fibonacci-hashing multiplier (2^64 / φ): one `wrapping_mul` whose
 /// *top* bits mix every input bit — the standard multiplicative-hash
 /// finalizer.
@@ -168,92 +147,48 @@ fn part_base(hfp: u64, part_bits: u32, base_bits: u32) -> usize {
     (selector as usize) << base_bits
 }
 
-/// A borrowed placement engine over one segment's table: candidate
-/// resolution (coset lows + partition), first-fit placement, and the
-/// random-walk eviction.
-struct SegmentPlacer<'a> {
-    table: &'a mut FingerprintTable,
+/// The VCF rule inside one segment: Equ. 3's coset lows over the base
+/// index space, OR-ed with the fingerprint's partition base. The XOR
+/// offsets of [`VerticalParams::alternates`] live below `base_bits`, so
+/// relocation never leaves the partition (Theorem-1 closure per
+/// partition) and the shared eviction walk runs unchanged.
+#[derive(Debug, Clone, Copy)]
+struct SegmentPolicy {
+    params: VerticalParams,
     part_bits: u32,
     base_bits: u32,
-    params: &'a VerticalParams,
-    hash: HashKind,
-    rng: &'a mut SmallRng,
-    undo: &'a mut Vec<(usize, usize, u32)>,
-    max_kicks: u32,
-    tally: PlaceTally,
 }
 
-impl SegmentPlacer<'_> {
-    /// Resolves the four candidate buckets of (`lows`, `hfp`) in this
-    /// segment: each coset low OR-ed with the partition base.
+impl SegmentPolicy {
+    /// The four candidate buckets of coset low `low` in this segment.
     #[inline]
-    fn segment_buckets(&self, lows: &Candidates, hfp: u64) -> [usize; 4] {
+    fn buckets(&self, low: usize, hfp: u64) -> [usize; 4] {
         let part = part_base(hfp, self.part_bits, self.base_bits);
-        lows.buckets.map(|low| low | part)
+        self.params
+            .candidates(low, hfp)
+            .buckets
+            .map(|low| low | part)
+    }
+}
+
+impl CandidatePolicy for SegmentPolicy {
+    type Table = FingerprintTable;
+
+    #[inline]
+    fn candidate_count(&self, _fingerprint: u32) -> usize {
+        4
     }
 
-    /// First-fit scan over the candidate buckets; no relocation.
-    fn try_place(&mut self, fp: u32, buckets: &[usize; 4]) -> bool {
-        let slots = self.table.slots_per_bucket() as u64;
-        for &bucket in buckets {
-            self.tally.bump(slots, 1);
-            if self.table.try_insert(bucket, fp).is_some() {
-                return true;
-            }
-        }
-        false
+    #[inline]
+    fn candidate(&self, low: usize, hfp: u64, fingerprint: u32, e: usize) -> (usize, u32) {
+        debug_assert!(e < 4, "four candidates per segment");
+        (self.buckets(low, hfp)[e], fingerprint)
     }
 
-    /// Full placement: candidate scan, then Algorithm 1's random walk
-    /// with rollback-on-failure, mirroring the fixed-size VCF.
-    /// Relocation stays inside the fingerprint's partition — the XOR
-    /// offsets of [`VerticalParams::alternates`] live below `base_bits`,
-    /// so the partition bits of every bucket id are preserved (Theorem-1
-    /// closure per partition).
-    fn place(&mut self, fp: u32, hfp: u64, lows: Candidates) -> Result<(), InsertError> {
-        let buckets = self.segment_buckets(&lows, hfp);
-        if self.try_place(fp, &buckets) {
-            return Ok(());
-        }
-        let slots = self.table.slots_per_bucket();
-        self.undo.clear();
-        let mut current_fp = fp;
-        let mut current_bucket = buckets[self.rng.gen_range(0..4)];
-        let mut kicks = 0u64;
-        for _ in 0..self.max_kicks {
-            let slot = self.rng.gen_range(0..slots);
-            let victim = self.table.swap(current_bucket, slot, current_fp);
-            self.tally.bump(0, 1);
-            self.undo.push((current_bucket, slot, victim));
-            current_fp = victim;
-            kicks += 1;
-
-            let victim_hash = self.hash.hash_fingerprint(current_fp);
-            self.tally.hashes.set(self.tally.hashes.get() + 1);
-            let alts = self.params.alternates(current_bucket, victim_hash);
-            let mut placed = false;
-            for &alt in &alts {
-                self.tally.bump(slots as u64, 1);
-                if self.table.try_insert(alt, current_fp).is_some() {
-                    placed = true;
-                    break;
-                }
-            }
-            if placed {
-                self.tally.kicks.set(self.tally.kicks.get() + kicks);
-                return Ok(());
-            }
-            current_bucket = alts[self.rng.gen_range(0..3)];
-        }
-
-        // Kick limit reached: replay the undo log backwards so the
-        // failed placement leaves no trace.
-        for &(bucket, slot, previous) in self.undo.iter().rev() {
-            self.table.set(bucket, slot, previous);
-        }
-        self.undo.clear();
-        self.tally.kicks.set(self.tally.kicks.get() + kicks);
-        Err(InsertError::Full { kicks })
+    #[inline]
+    fn alternate(&self, bucket: usize, hfp: u64, resident: u32, i: usize) -> (usize, u32) {
+        debug_assert!(i < 3, "three alternates per segment");
+        (self.params.alternates(bucket, hfp)[i], resident)
     }
 }
 
@@ -309,12 +244,10 @@ pub struct ScalableVcf {
     base_bits: u32,
     slots_per_bucket: usize,
     fingerprint_bits: u32,
-    max_kicks: u32,
     seed: u64,
     max_part_bits: u32,
     migrate_budget: usize,
-    rng: SmallRng,
-    undo: Vec<(usize, usize, u32)>,
+    walk: Walk<u32>,
     counters: Counters,
     migration: MigrationStats,
 }
@@ -367,12 +300,10 @@ impl ScalableVcf {
             base_bits,
             slots_per_bucket: config.slots_per_bucket,
             fingerprint_bits: config.fingerprint_bits,
-            max_kicks: config.max_kicks,
             seed: config.seed,
             max_part_bits: DEFAULT_MAX_PART_BITS.min(31 - base_bits),
             migrate_budget: 1,
-            rng: SmallRng::seed_from_u64(config.seed),
-            undo: Vec::new(),
+            walk: Walk::new(config.seed, config.max_kicks),
             counters: Counters::new(),
             migration: MigrationStats::default(),
         })
@@ -462,13 +393,12 @@ impl ScalableVcf {
         })
     }
 
+    /// Hashes an item: `b1` is its coset low in the base index space.
     #[inline]
-    fn key_of(&self, item: &[u8]) -> (u32, usize) {
-        key::derive(
-            self.hash.hash64(item),
-            self.fingerprint_bits,
-            self.params.index_mask(),
-        )
+    fn key_of(&self, item: &[u8]) -> Key {
+        let mask = self.params.index_mask();
+        let (fp, b1) = key::hash_item(self.hash, item, self.fingerprint_bits, mask);
+        Key::new(self.hash, fp, b1)
     }
 
     /// Canonical coset key for a `(coset low, fingerprint)` pair:
@@ -488,8 +418,8 @@ impl ScalableVcf {
     /// the same `(coset, fingerprint)` pair share a key — exactly the
     /// pairs this filter already cannot tell apart.
     pub fn canonical_key(&self, item: &[u8]) -> u64 {
-        let (fp, low) = self.key_of(item);
-        self.canonical_of(fp, low)
+        let key = self.key_of(item);
+        self.canonical_of(key.fp, key.b1)
     }
 
     /// Canonical coset keys of every stored fingerprint, derived from
@@ -562,52 +492,58 @@ impl ScalableVcf {
         Ok(())
     }
 
-    /// Places `(fp, hfp, lows)` into the active segment, accumulating
-    /// probe/access work into the caller's tallies (kicks and extra
+    /// The candidate policy of a segment with `part_bits` partition
+    /// bits.
+    fn policy(&self, part_bits: u32) -> SegmentPolicy {
+        SegmentPolicy {
+            params: self.params,
+            part_bits,
+            base_bits: self.base_bits,
+        }
+    }
+
+    /// Places `key` into the active segment through the shared eviction
+    /// walk, adding its probe/access work to `work` (kicks and extra
     /// fingerprint hashes flush straight to the counters, as the
     /// fixed-size filter does).
-    fn place_active(
-        &mut self,
-        fp: u32,
-        hfp: u64,
-        lows: Candidates,
-        probes: &mut u64,
-        accesses: &mut u64,
-    ) -> Result<(), InsertError> {
-        let Self {
-            segments,
-            params,
-            rng,
-            undo,
-            counters,
-            ..
-        } = self;
-        let Some(active) = segments.last_mut() else {
+    fn place_active(&mut self, key: Key, work: &mut Tally) -> Result<(), InsertError> {
+        let Some(part_bits) = self.segments.last().map(|a| a.part_bits) else {
             return Err(InsertError::Full { kicks: 0 });
         };
-        let mut placer = SegmentPlacer {
-            table: &mut active.table,
-            part_bits: active.part_bits,
-            base_bits: self.base_bits,
-            params,
-            hash: self.hash,
-            rng,
-            undo,
-            max_kicks: self.max_kicks,
-            tally: PlaceTally::default(),
+        let policy = self.policy(part_bits);
+        let Some(active) = self.segments.last_mut() else {
+            return Err(InsertError::Full { kicks: 0 });
         };
-        let result = placer.place(fp, hfp, lows);
-        *probes += placer.tally.probes.get();
-        *accesses += placer.tally.accesses.get();
-        counters.add_kicks(placer.tally.kicks.get());
-        counters.add_hashes(placer.tally.hashes.get());
+        let (result, t) = self.walk.place(&policy, &mut active.table, self.hash, key);
+        work.probes += t.probes;
+        work.accesses += t.accesses;
+        self.counters.add_kicks(t.kicks);
+        self.counters.add_hashes(t.hashes);
         result
+    }
+
+    /// Probes the chain newest-first for `key` and records the lookup.
+    fn lookup(&self, key: Key) -> bool {
+        let mut probes = 0u64;
+        let mut accesses = 0u64;
+        let mut found = false;
+        for seg in self.segments.iter().rev() {
+            let buckets = self.policy(seg.part_bits).buckets(key.b1, key.hfp);
+            probes += (buckets.len() * seg.table.slots_per_bucket()) as u64;
+            accesses += buckets.len() as u64;
+            if seg.table.contains_any(&buckets, key.fp) {
+                found = true;
+                break;
+            }
+        }
+        self.counters.record_lookup(probes, accesses);
+        found
     }
 
     /// One insert's worth of work: amortized migration, proactive
     /// growth, placement, reactive growth + retry on a full active
     /// segment. Exactly one logical insert is recorded.
-    fn insert_prehashed(&mut self, fp: u32, hfp: u64, lows: Candidates) -> Result<(), InsertError> {
+    fn insert_key(&mut self, key: Key) -> Result<(), InsertError> {
         self.migration.last_op_buckets = 0;
         if self.migrate_budget > 0 && self.segments.len() > 1 {
             let drained = self.migrate_some(self.migrate_budget);
@@ -617,20 +553,19 @@ impl ScalableVcf {
             // At the growth cap the active segment simply keeps filling.
             let _ = self.grow_segment();
         }
-        let mut probes = 0u64;
-        let mut accesses = 0u64;
-        let first = self.place_active(fp, hfp, lows, &mut probes, &mut accesses);
+        let mut work = Tally::default();
+        let first = self.place_active(key, &mut work);
         let result = match first {
             Err(InsertError::Full { kicks }) => {
                 if self.grow_segment().is_ok() {
-                    self.place_active(fp, hfp, lows, &mut probes, &mut accesses)
+                    self.place_active(key, &mut work)
                 } else {
                     Err(InsertError::Full { kicks })
                 }
             }
             other => other,
         };
-        self.counters.record_insert(probes, accesses);
+        self.counters.record_insert(work.probes, work.accesses);
         if result.is_err() {
             self.counters.add_failed_insert();
         }
@@ -659,12 +594,15 @@ impl ScalableVcf {
     /// cleared from the cold bucket, so membership answers never flicker
     /// mid-drain.
     fn drain_one_bucket(&mut self) -> DrainOutcome {
+        let Some(part_bits) = self.segments.last().map(|a| a.part_bits) else {
+            return DrainOutcome::SegmentDone;
+        };
+        let policy = self.policy(part_bits);
         let Self {
             segments,
-            params,
-            rng,
-            undo,
+            walk,
             migration,
+            hash,
             ..
         } = self;
         let Some(oldest) = segments.first() else {
@@ -680,29 +618,16 @@ impl ScalableVcf {
             return DrainOutcome::Stalled;
         };
         let bucket = cold.drained;
-        let slots = cold.table.slots_per_bucket();
-        let mut placer = SegmentPlacer {
-            table: &mut active.table,
-            part_bits: active.part_bits,
-            base_bits: self.base_bits,
-            params,
-            hash: self.hash,
-            rng,
-            undo,
-            max_kicks: self.max_kicks,
-            tally: PlaceTally::default(),
-        };
-        for slot in 0..slots {
+        for slot in 0..cold.table.slots_per_bucket() {
             let fp = cold.table.get(bucket, slot);
             if fp == 0 {
                 continue;
             }
-            let hfp = self.hash.hash_fingerprint(fp);
             // Theorem 1: the coset lows are recoverable from the
             // resident bucket alone (candidates() reduces the bucket id
             // to the base domain internally).
-            let lows = params.candidates(bucket, hfp);
-            match placer.place(fp, hfp, lows) {
+            let key = Key::new(*hash, fp, bucket);
+            match walk.place(&policy, &mut active.table, *hash, key).0 {
                 Ok(()) => {
                     cold.table.set(bucket, slot, 0);
                     migration.moved_fingerprints += 1;
@@ -735,36 +660,19 @@ impl ScalableVcf {
         else {
             return false;
         };
-        let Self {
-            segments,
-            params,
-            rng,
-            undo,
-            ..
-        } = self;
-        let mut placer = SegmentPlacer {
-            table: &mut table,
-            part_bits,
-            base_bits: self.base_bits,
-            params,
-            hash: self.hash,
-            rng,
-            undo,
-            max_kicks: self.max_kicks,
-            tally: PlaceTally::default(),
-        };
-        for seg in segments.iter() {
+        let policy = self.policy(part_bits);
+        for seg in &self.segments {
             for (bucket, _slot, fp) in seg.table.iter() {
-                let hfp = self.hash.hash_fingerprint(fp);
                 // Theorem 1: the coset lows follow from the resident
                 // bucket alone, as in the migration drain.
-                let lows = params.candidates(bucket, hfp);
-                if placer.place(fp, hfp, lows).is_err() {
+                let key = Key::new(self.hash, fp, bucket);
+                let (placed, _) = self.walk.place(&policy, &mut table, self.hash, key);
+                if placed.is_err() {
                     return false;
                 }
             }
         }
-        *segments = vec![Segment {
+        self.segments = vec![Segment {
             table,
             part_bits,
             drained: 0,
@@ -839,11 +747,9 @@ impl Filter for ScalableVcf {
     /// [`migrate_budget`](Self::migrate_budget) cold bucket-ranges first
     /// and growing the chain when the active segment is (nearly) full.
     fn insert(&mut self, item: &[u8]) -> Result<(), InsertError> {
-        let (fp, low) = self.key_of(item);
-        let hfp = self.hash.hash_fingerprint(fp);
+        let key = self.key_of(item);
         self.counters.add_hashes(2); // hash(x) + hash(η)
-        let lows = self.params.candidates(low, hfp);
-        self.insert_prehashed(fp, hfp, lows)
+        self.insert_key(key)
     }
 
     // lint: hot-path
@@ -854,24 +760,21 @@ impl Filter for ScalableVcf {
     fn insert_batch(&mut self, items: &[&[u8]]) -> Vec<Result<(), InsertError>> {
         const WINDOW: usize = 16;
         let mut out = Vec::with_capacity(items.len());
-        let mut window: Vec<(u32, u64, Candidates)> = Vec::with_capacity(WINDOW);
+        let mut window = Vec::with_capacity(WINDOW);
         for chunk in items.chunks(WINDOW) {
             window.clear();
             for item in chunk {
-                let (fp, low) = self.key_of(item);
-                let hfp = self.hash.hash_fingerprint(fp);
+                let key = self.key_of(item);
                 self.counters.add_hashes(2);
-                let lows = self.params.candidates(low, hfp);
                 if let Some(active) = self.segments.last() {
-                    let part = part_base(hfp, active.part_bits, self.base_bits);
-                    for low in lows.iter() {
-                        active.table.prefetch_bucket(low | part);
+                    for bucket in self.policy(active.part_bits).buckets(key.b1, key.hfp) {
+                        active.table.prefetch_bucket(bucket);
                     }
                 }
-                window.push((fp, hfp, lows));
+                window.push(key);
             }
-            for &(fp, hfp, lows) in &window {
-                out.push(self.insert_prehashed(fp, hfp, lows));
+            for &key in &window {
+                out.push(self.insert_key(key));
             }
         }
         out
@@ -881,24 +784,7 @@ impl Filter for ScalableVcf {
     /// Probes the chain newest-first: an item's four candidate buckets
     /// in each segment (coset lows OR the segment's partition base).
     fn contains(&self, item: &[u8]) -> bool {
-        let (fp, low) = self.key_of(item);
-        let hfp = self.hash.hash_fingerprint(fp);
-        let lows = self.params.candidates(low, hfp);
-        let mut probes = 0u64;
-        let mut accesses = 0u64;
-        let mut found = false;
-        for seg in self.segments.iter().rev() {
-            let part = part_base(hfp, seg.part_bits, self.base_bits);
-            let buckets = lows.buckets.map(|low| low | part);
-            probes += (buckets.len() * seg.table.slots_per_bucket()) as u64;
-            accesses += buckets.len() as u64;
-            if seg.table.contains_any(&buckets, fp) {
-                found = true;
-                break;
-            }
-        }
-        self.counters.record_lookup(probes, accesses);
-        found
+        self.lookup(self.key_of(item))
     }
 
     // lint: hot-path
@@ -909,36 +795,15 @@ impl Filter for ScalableVcf {
     fn contains_batch(&self, items: &[&[u8]]) -> Vec<bool> {
         let mut keys = Vec::with_capacity(items.len());
         for item in items {
-            let (fp, low) = self.key_of(item);
-            let hfp = self.hash.hash_fingerprint(fp);
-            let lows = self.params.candidates(low, hfp);
+            let key = self.key_of(item);
             for seg in &self.segments {
-                let part = part_base(hfp, seg.part_bits, self.base_bits);
-                for low in lows.iter() {
-                    seg.table.touch_bucket(low | part);
+                for bucket in self.policy(seg.part_bits).buckets(key.b1, key.hfp) {
+                    seg.table.touch_bucket(bucket);
                 }
             }
-            keys.push((fp, hfp, lows));
+            keys.push(key);
         }
-        let mut out = Vec::with_capacity(items.len());
-        for &(fp, hfp, lows) in &keys {
-            let mut probes = 0u64;
-            let mut accesses = 0u64;
-            let mut found = false;
-            for seg in self.segments.iter().rev() {
-                let part = part_base(hfp, seg.part_bits, self.base_bits);
-                let buckets = lows.buckets.map(|low| low | part);
-                probes += (buckets.len() * seg.table.slots_per_bucket()) as u64;
-                accesses += buckets.len() as u64;
-                if seg.table.contains_any(&buckets, fp) {
-                    found = true;
-                    break;
-                }
-            }
-            self.counters.record_lookup(probes, accesses);
-            out.push(found);
-        }
-        out
+        keys.iter().map(|&key| self.lookup(key)).collect()
     }
 
     // lint: hot-path
@@ -947,31 +812,27 @@ impl Filter for ScalableVcf {
     /// exactly one stored fingerprint is removed per successful call —
     /// multiset semantics across the chain.
     fn delete(&mut self, item: &[u8]) -> bool {
-        let (fp, low) = self.key_of(item);
-        let hfp = self.hash.hash_fingerprint(fp);
-        let lows = self.params.candidates(low, hfp);
-        let base_bits = self.base_bits;
+        let key = self.key_of(item);
+        let (params, base_bits) = (self.params, self.base_bits);
         let mut probes = 0u64;
         let mut accesses = 0u64;
         let mut removed = false;
         'segments: for seg in self.segments.iter_mut().rev() {
-            let part = part_base(hfp, seg.part_bits, base_bits);
-            // Deduplicate degenerate candidates: removing from the same
-            // physical bucket twice would delete two copies.
-            let mut tried = [usize::MAX; 4];
-            let mut tried_len = 0;
-            for low in lows.iter() {
-                let bucket = low | part;
-                if tried[..tried_len].contains(&bucket) {
+            let policy = SegmentPolicy {
+                params,
+                part_bits: seg.part_bits,
+                base_bits,
+            };
+            let buckets = policy.buckets(key.b1, key.hfp);
+            for (e, &bucket) in buckets.iter().enumerate() {
+                // Deduplicate degenerate candidates: removing from the
+                // same physical bucket twice would delete two copies.
+                if buckets[..e].contains(&bucket) {
                     continue;
                 }
-                // Four candidates at most, so the scratch cannot fill.
-                debug_assert!(tried_len < tried.len(), "at most 4 distinct candidates");
-                tried[tried_len] = bucket;
-                tried_len += 1;
                 probes += seg.table.slots_per_bucket() as u64;
                 accesses += 1;
-                if seg.table.remove_one(bucket, fp) {
+                if seg.table.remove_one(bucket, key.fp) {
                     removed = true;
                     break 'segments;
                 }

@@ -162,7 +162,7 @@ impl VerticalCuckooFilter {
         out.extend_from_slice(&(self.len() as u64).to_le_bytes());
         for bucket in 0..buckets {
             for slot in 0..slots {
-                out.extend_from_slice(&self.slot_value(bucket, slot).to_le_bytes());
+                out.extend_from_slice(&self.table().get(bucket, slot).to_le_bytes());
             }
         }
         out
@@ -214,7 +214,7 @@ impl VerticalCuckooFilter {
                 if value != 0 {
                     counted += 1;
                 }
-                filter.set_slot_value(bucket, slot, value);
+                filter.table_mut().set(bucket, slot, value);
             }
         }
         if counted != recorded {

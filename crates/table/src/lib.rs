@@ -16,6 +16,8 @@
 //!   bucket engine,
 //! * [`MarkedTable`] — bucketed storage of `(fingerprint, mark)` pairs
 //!   (used by k-VCF), likewise engine-probed,
+//! * [`SlotTable`] — the slot operations of both tables behind one
+//!   trait, so a single cuckoo engine in `vcf-core` drives either,
 //! * [`AtomicBucketEngine`] / [`AtomicFingerprintTable`] — the lock-free
 //!   siblings: the same layout and kernels over `AtomicU64` words, with
 //!   CAS-based slot claim/replace for concurrent filters (`ConcurrentVcf`
@@ -53,12 +55,14 @@ mod fingerprint;
 mod marked;
 mod packed;
 mod prefetch;
+mod slots;
 
 pub use atomic_bucket::{AtomicBucketEngine, AtomicFingerprintTable};
 pub use bucket::{BucketEngine, BucketWords, MAX_BUCKET_SEGMENTS, MAX_LANE_BITS};
 pub use fingerprint::FingerprintTable;
 pub use marked::{MarkedEntry, MarkedTable};
 pub use packed::PackedTable;
+pub use slots::SlotTable;
 
 /// Maximum supported slots per bucket.
 pub const MAX_BUCKET_SLOTS: usize = 8;

@@ -19,6 +19,7 @@ pub mod callgraph;
 pub mod diag;
 pub mod json;
 pub mod lexer;
+pub mod loc;
 pub mod parser;
 pub mod rules;
 pub mod sarif;
@@ -186,7 +187,7 @@ impl LintContext {
 
 /// Recursively collects `.rs` files under `root/rel_dir` as
 /// `/`-separated root-relative paths.
-fn collect_rs(root: &Path, rel_dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
+pub(crate) fn collect_rs(root: &Path, rel_dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
     let abs = root.join(rel_dir);
     if !abs.is_dir() {
         return Ok(());

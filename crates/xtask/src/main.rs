@@ -4,6 +4,7 @@
 //! vcf-xtask lint [--format text|json|sarif] [--root PATH] [--rule ID]
 //! vcf-xtask rules
 //! vcf-xtask bench-check [--root PATH]
+//! vcf-xtask loc [--root PATH] [--files]
 //! ```
 //!
 //! `--json` is kept as an alias for `--format json`. Exit codes: 0
@@ -12,7 +13,7 @@
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
-use vcf_xtask::{bench_check, diag, rules, sarif, LintContext};
+use vcf_xtask::{bench_check, diag, loc, rules, sarif, LintContext};
 
 fn main() {
     std::process::exit(real_main());
@@ -27,6 +28,7 @@ fn real_main() -> i32 {
             0
         }
         Some("bench-check") => bench_check_cmd(&args[1..]),
+        Some("loc") => loc_cmd(&args[1..]),
         _ => {
             eprintln!("{USAGE}");
             2
@@ -36,7 +38,8 @@ fn real_main() -> i32 {
 
 const USAGE: &str =
     "usage: vcf-xtask lint [--format text|json|sarif] [--root PATH] [--rule ID]\n       \
-     vcf-xtask rules\n       vcf-xtask bench-check [--root PATH]";
+     vcf-xtask rules\n       vcf-xtask bench-check [--root PATH]\n       \
+     vcf-xtask loc [--root PATH] [--files]";
 
 /// Output formats for `lint`.
 enum Format {
@@ -146,6 +149,50 @@ fn bench_check_cmd(args: &[String]) -> i32 {
         println!("\n{} problem(s)", problems.len());
         1
     }
+}
+
+/// Prints non-test lines per crate under `crates/*/src` (and per file
+/// with `--files`), then the total.
+fn loc_cmd(args: &[String]) -> i32 {
+    let mut root: Option<PathBuf> = None;
+    let mut files = false;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--root" => match it.next() {
+                Some(p) => root = Some(PathBuf::from(p)),
+                None => return usage_error("--root needs a path"),
+            },
+            "--files" => files = true,
+            other => return usage_error(&format!("unknown argument `{other}`")),
+        }
+    }
+    let Some(root) = root.or_else(find_workspace_root) else {
+        eprintln!("error: not inside a workspace (no Cargo.toml + crates/ found); use --root");
+        return 2;
+    };
+    let per_file = match loc::per_file(&root) {
+        Ok(f) => f,
+        Err(e) => {
+            eprintln!(
+                "error: failed to read sources under {}: {e}",
+                root.display()
+            );
+            return 2;
+        }
+    };
+    if files {
+        for (rel, lines) in &per_file {
+            println!("{lines:>7}  {rel}");
+        }
+        println!();
+    }
+    for (name, lines) in loc::per_crate(&per_file) {
+        println!("{lines:>7}  {name}");
+    }
+    let total: usize = per_file.iter().map(|(_, lines)| lines).sum();
+    println!("{total:>7}  total (non-test lines under crates/*/src)");
+    0
 }
 
 fn usage_error(msg: &str) -> i32 {

@@ -206,3 +206,16 @@ fn rules_subcommand_lists_every_rule() {
         assert!(stdout.contains(rule), "missing {rule} in: {stdout}");
     }
 }
+
+#[test]
+fn loc_prints_per_crate_and_total_non_test_lines() {
+    let root = make_workspace(
+        "cli-loc",
+        "pub fn f() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {}\n}\n",
+    );
+    let out = bin().arg("loc").arg("--root").arg(&root).output().unwrap();
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("      1  demo\n"), "stdout: {stdout}");
+    assert!(stdout.contains("      1  total"), "stdout: {stdout}");
+}

@@ -377,3 +377,12 @@ fn unknown_rule_filter_is_an_error() {
     let ctx = LintContext::from_memory(vec![]);
     assert!(ctx.run(Some("no-such-rule")).is_err());
 }
+
+#[test]
+fn loc_skips_cfg_test_module() {
+    let file = SourceFile::new(
+        "crates/demo/src/lib.rs",
+        include_str!("fixtures/loc_cfg_test.rs"),
+    );
+    assert_eq!(vcf_xtask::loc::non_test_lines(&file), 6);
+}
