@@ -6,11 +6,10 @@
 //! incidental implementation differences:
 //!
 //! * [`CuckooFilter`] — the standard two-candidate cuckoo filter of Fan et
-//!   al. (paper's primary baseline, Equ. 1), re-exported from `vcf-core`,
-//!   where it runs on the same engine as the VCF family.
+//!   al. (paper's primary baseline, Equ. 1).
 //! * [`DaryCuckooFilter`] — the D-ary cuckoo filter of Xie et al. with
-//!   base-`d` digit-wise modular offsets (the paper's DCF baseline, d = 4,
-//!   Equ. 2).
+//!   base-4 digit-wise modular offsets ([`base_d`]; the paper's DCF
+//!   baseline, d = 4, Equ. 2).
 //! * [`BloomFilter`] — the classic Bloom filter (Table I row 1).
 //! * [`CountingBloomFilter`] — 4-bit-counter CBF (Table I row 2).
 //! * [`DlCountingBloomFilter`] — the d-left counting Bloom filter of
@@ -21,6 +20,13 @@
 //!   [10]): detected false positives are adapted away at run time.
 //! * [`VacuumFilter`] — Wang et al.'s chunked filter (related work [14]):
 //!   two-candidate cuckoo hashing over non-power-of-two tables.
+//!
+//! CF, DCF and VF are re-exported from `vcf-core`, where they run as
+//! candidate policies on the same engine as the VCF family: they share
+//! its insert, eviction walk with rollback, lookup, delete and counters,
+//! so a head-to-head measurement isolates the candidate rule. The
+//! adaptive CF keeps its own walk: its slots carry full keys, which it
+//! rehashes on eviction.
 //!
 //! # Examples
 //!
@@ -39,19 +45,14 @@
 #![warn(missing_docs)]
 
 mod adaptive;
-pub mod base_d;
 mod bloom;
 mod counting_bloom;
-mod dary;
 mod dlcbf;
 mod quotient;
-mod vacuum;
 
 pub use adaptive::AdaptiveCuckooFilter;
 pub use bloom::{BloomConfig, BloomFilter};
 pub use counting_bloom::CountingBloomFilter;
-pub use dary::DaryCuckooFilter;
 pub use dlcbf::{DlCbfConfig, DlCountingBloomFilter};
 pub use quotient::QuotientFilter;
-pub use vacuum::VacuumFilter;
-pub use vcf_core::CuckooFilter;
+pub use vcf_core::{base_d, CuckooFilter, DaryCuckooFilter, VacuumFilter};

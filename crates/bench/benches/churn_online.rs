@@ -106,12 +106,7 @@ fn churn_benches(c: &mut Criterion) {
         &trace,
     );
     bench_churn(c, "DVCF_r0.5", Dvcf::with_r(config(), 0.5).unwrap(), &trace);
-    bench_churn(
-        c,
-        "DCF",
-        DaryCuckooFilter::new(config(), 4).unwrap(),
-        &trace,
-    );
+    bench_churn(c, "DCF", DaryCuckooFilter::new(config()).unwrap(), &trace);
 
     // The insertion-intensive regime: churn at 95 % occupancy, where
     // kick chains lengthen (Fig. 8's territory).

@@ -5,7 +5,9 @@
 //! a positive lookup for every cuckoo variant.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use vcf_baselines::{BloomConfig, CountingBloomFilter, CuckooFilter, DaryCuckooFilter};
+use vcf_baselines::{
+    BloomConfig, CountingBloomFilter, CuckooFilter, DaryCuckooFilter, VacuumFilter,
+};
 use vcf_bench::{bench_keys, BENCH_SLOTS_LOG2, LOADED_FRACTION};
 use vcf_core::{CuckooConfig, Dvcf, KVcf, VerticalCuckooFilter};
 use vcf_traits::Filter;
@@ -44,11 +46,16 @@ fn delete_benches(c: &mut Criterion) {
     bench_delete(c, "CF", CuckooFilter::new(config()).unwrap());
     bench_delete(c, "VCF", VerticalCuckooFilter::new(config()).unwrap());
     bench_delete(c, "DVCF_r0.5", Dvcf::with_r(config(), 0.5).unwrap());
-    bench_delete(c, "DCF", DaryCuckooFilter::new(config(), 4).unwrap());
+    bench_delete(c, "DCF", DaryCuckooFilter::new(config()).unwrap());
     bench_delete(
         c,
         "8-VCF",
         KVcf::new(config().with_fingerprint_bits(16), 8).unwrap(),
+    );
+    bench_delete(
+        c,
+        "VF",
+        VacuumFilter::new((1 << (BENCH_SLOTS_LOG2 - 2)) + 192, 64, 4, 14, 500, 42).unwrap(),
     );
     bench_delete(
         c,

@@ -99,7 +99,7 @@ fn insert_benches(c: &mut Criterion) {
             Dvcf::with_r(config(), 0.5).unwrap()
         });
         bench_fill(c, group, "DCF", fraction, || {
-            DaryCuckooFilter::new(config(), 4).unwrap()
+            DaryCuckooFilter::new(config()).unwrap()
         });
         bench_fill(c, group, "BF", fraction, || {
             BloomFilter::new(BloomConfig::for_items(1 << BENCH_SLOTS_LOG2, 5e-4)).unwrap()

@@ -114,7 +114,7 @@ fn lookup_benches(c: &mut Criterion) {
         VerticalCuckooFilter::with_mask_ones(config(), 3).unwrap(),
     );
     bench_lookups(c, "DVCF_r0.5", Dvcf::with_r(config(), 0.5).unwrap());
-    bench_lookups(c, "DCF", DaryCuckooFilter::new(config(), 4).unwrap());
+    bench_lookups(c, "DCF", DaryCuckooFilter::new(config()).unwrap());
     bench_lookups(
         c,
         "8-VCF",
@@ -135,7 +135,7 @@ fn lookup_benches(c: &mut Criterion) {
     bench_batch(c, "CF", CuckooFilter::new(batch_config()).unwrap());
     bench_batch(c, "VCF", VerticalCuckooFilter::new(batch_config()).unwrap());
     bench_batch(c, "DVCF_r0.5", Dvcf::with_r(batch_config(), 0.5).unwrap());
-    bench_batch(c, "DCF", DaryCuckooFilter::new(batch_config(), 4).unwrap());
+    bench_batch(c, "DCF", DaryCuckooFilter::new(batch_config()).unwrap());
     bench_batch(
         c,
         "8-VCF",

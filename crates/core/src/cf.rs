@@ -50,6 +50,11 @@ impl CfPolicy {
             index_mask: buckets as u64 - 1,
         }
     }
+
+    /// The mask an offset is reduced by: `m − 1`.
+    pub(crate) fn index_mask(&self) -> u64 {
+        self.index_mask
+    }
 }
 
 impl CandidatePolicy for CfPolicy {

@@ -1,7 +1,8 @@
 //! One sequential cuckoo engine for the whole family.
 //!
-//! CF, VCF/IVCF, DVCF and k-VCF differ only in how an item's candidate
-//! buckets are derived (Equ. 1, Equ. 3/4, Algorithms 4–6, Equ. 6/7).
+//! CF, VCF/IVCF, DVCF, k-VCF and the DCF and Vacuum filter baselines
+//! differ only in how an item's candidate buckets are derived (Equ. 1,
+//! Equ. 3/4, Algorithms 4–6, Equ. 6/7, Equ. 2, chunked Equ. 1).
 //! Insertion, the random-walk eviction with rollback, lookup and
 //! deletion are one algorithm over those candidates, so they live here
 //! once, generic over a [`CandidatePolicy`].
@@ -23,6 +24,13 @@ use vcf_traits::{Counters, Filter, InsertError, Stats};
 pub trait CandidatePolicy: Clone + core::fmt::Debug {
     /// The slot table the policy's entries are stored in.
     type Table: SlotTable;
+
+    /// Primary bucket `B1` of an item whose 64-bit hash is `h`, in a table
+    /// of `buckets` buckets: the low bits, as the table is a power of two.
+    #[inline]
+    fn primary_bucket(&self, h: u64, buckets: usize) -> usize {
+        (h & (buckets as u64 - 1)) as usize
+    }
 
     /// Number of candidate buckets of a fingerprint (`k`).
     fn candidate_count(&self, fingerprint: u32) -> usize;
@@ -174,8 +182,10 @@ impl<E: Copy> Walk<E> {
 ///
 /// Every variant is an alias of this type —
 /// [`VerticalCuckooFilter`](crate::VerticalCuckooFilter),
-/// [`Dvcf`](crate::Dvcf), [`KVcf`](crate::KVcf) and
-/// [`CuckooFilter`](crate::CuckooFilter) — with the paper's
+/// [`Dvcf`](crate::Dvcf), [`KVcf`](crate::KVcf),
+/// [`CuckooFilter`](crate::CuckooFilter),
+/// [`DaryCuckooFilter`](crate::DaryCuckooFilter) and
+/// [`VacuumFilter`](crate::VacuumFilter) — with the paper's
 /// constructors on top.
 ///
 /// # Guarantees
@@ -276,8 +286,9 @@ impl<P: CandidatePolicy> CuckooCore<P> {
 
     #[inline]
     fn key(&self, item: &[u8]) -> Key {
-        let index_mask = self.table.buckets() as u64 - 1;
-        let (fp, b1) = key::hash_item(self.hash, item, self.fingerprint_bits(), index_mask);
+        let h = self.hash.hash64(item);
+        let fp = key::fingerprint(h, self.fingerprint_bits());
+        let b1 = self.policy.primary_bucket(h, self.table.buckets());
         Key::new(self.hash, fp, b1)
     }
 
@@ -434,20 +445,34 @@ mod tests {
     //! Cross-policy properties, each checked once over every policy.
 
     use super::*;
-    use crate::{CuckooFilter, Dvcf, KVcf, VerticalCuckooFilter};
+    use crate::{CuckooFilter, DaryCuckooFilter, Dvcf, KVcf, VacuumFilter, VerticalCuckooFilter};
     use vcf_hash::mix64;
 
     fn config() -> CuckooConfig {
         CuckooConfig::new(1 << 8).with_seed(42)
     }
 
-    /// Theorem 1 (VCF, IVCF, DVCF, CF) and Theorem 2 (k-VCF): from every
-    /// candidate, the resident's alternates plus the candidate itself are
-    /// exactly the candidate list.
-    fn assert_closure<P: CandidatePolicy>(f: &CuckooCore<P>) {
-        let mask = f.buckets() as u64 - 1;
+    /// DCF over pure base-4 digits (2^10 buckets) and mixed radix
+    /// (2^11 = 2 · 4^5).
+    fn dcf(buckets_log2: u32) -> DaryCuckooFilter {
+        DaryCuckooFilter::new(CuckooConfig::new(1 << buckets_log2).with_seed(42)).unwrap()
+    }
+
+    /// VF over 3 · 256 buckets: not a power of two.
+    fn vf() -> VacuumFilter {
+        VacuumFilter::new(768, 256, 4, 14, 500, 42).unwrap()
+    }
+
+    /// Theorem 1 (VCF, IVCF, DVCF, CF, VF), Theorem 2 (k-VCF) and the
+    /// ⊕_4 cycle (DCF): from every candidate, the resident's alternates
+    /// plus the candidate itself are exactly the candidate list. Returns
+    /// each item's candidate buckets.
+    fn assert_closure<P: CandidatePolicy>(f: &CuckooCore<P>) -> Vec<Vec<usize>> {
+        let mut sets = Vec::new();
         for i in 0..2000u64 {
-            let (fp, b1) = key::derive(mix64(i), f.fingerprint_bits(), mask);
+            let h = mix64(i);
+            let fp = key::fingerprint(h, f.fingerprint_bits());
+            let b1 = f.policy().primary_bucket(h, f.buckets());
             let hfp = f.hash_kind().hash_fingerprint(fp);
             let k = f.policy().candidate_count(fp);
             let mut all: Vec<_> = (0..k)
@@ -455,6 +480,7 @@ mod tests {
                 .collect();
             sort(&mut all);
             for &(bucket, resident) in &all {
+                assert!(bucket < f.buckets(), "{}: bucket out of range", f.name());
                 let mut reach: Vec<_> = (0..k - 1)
                     .map(|j| f.policy().alternate(bucket, hfp, resident, j))
                     .collect();
@@ -462,7 +488,9 @@ mod tests {
                 sort(&mut reach);
                 assert_eq!(reach, all, "{}: closure broken at fp={fp:#x}", f.name());
             }
+            sets.push(all.iter().map(|c| c.0).collect());
         }
+        sets
     }
 
     fn sort<E: core::fmt::Debug>(v: &mut [(usize, E)]) {
@@ -478,17 +506,28 @@ mod tests {
         for k in [2, 3, 7] {
             assert_closure(&KVcf::new(config().with_fingerprint_bits(16), k).unwrap());
         }
+        for log2 in [10, 11] {
+            for set in assert_closure(&dcf(log2)) {
+                assert_eq!(set.len(), 4);
+            }
+        }
+        // VF's candidates never leave B1's 256-bucket chunk.
+        for set in assert_closure(&vf()) {
+            assert!(set.iter().all(|b| b / 256 == set[0] / 256), "{set:?}");
+        }
     }
 
-    /// Fills one filter serially and one batched past full and compares
-    /// results, every slot, and the counters.
+    /// Fills one filter serially and one batched to 110% of capacity and
+    /// compares results, every slot, and the counters.
     fn assert_batch_is_serial<P: CandidatePolicy>(make: impl Fn() -> CuckooCore<P>)
     where
         P::Table: PartialEq,
     {
-        let keys: Vec<Vec<u8>> = (0..1100u32).map(|i| i.to_le_bytes().to_vec()).collect();
-        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
         let (mut serial, mut batched) = (make(), make());
+        let keys: Vec<Vec<u8>> = (0..serial.capacity() as u32 * 11 / 10)
+            .map(|i| i.to_le_bytes().to_vec())
+            .collect();
+        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
         let serial_results: Vec<_> = refs.iter().map(|k| serial.insert(k)).collect();
         assert_eq!(
             serial_results,
@@ -510,6 +549,9 @@ mod tests {
         assert_batch_is_serial(|| VerticalCuckooFilter::new(config()).unwrap());
         assert_batch_is_serial(|| Dvcf::with_r(config(), 0.5).unwrap());
         assert_batch_is_serial(|| KVcf::new(config().with_fingerprint_bits(16), 6).unwrap());
+        assert_batch_is_serial(|| dcf(10));
+        assert_batch_is_serial(|| dcf(11));
+        assert_batch_is_serial(vf);
     }
 
     fn b1_hit_accesses<P: CandidatePolicy>(mut f: CuckooCore<P>) -> u64 {
@@ -533,12 +575,15 @@ mod tests {
             b1_hit_accesses(KVcf::new(config().with_fingerprint_bits(16), 6).unwrap()),
             1
         );
+        assert_eq!(b1_hit_accesses(dcf(10)), 1);
+        assert_eq!(b1_hit_accesses(dcf(11)), 1);
+        assert_eq!(b1_hit_accesses(vf()), 1);
     }
 
     #[test]
     fn hashes_are_two_per_insert_plus_one_per_kick() {
         fn check<P: CandidatePolicy>(mut f: CuckooCore<P>) {
-            for i in 0..1100u32 {
+            for i in 0..f.capacity() as u32 * 11 / 10 {
                 let _ = f.insert(&i.to_le_bytes());
             }
             let s = f.stats();
@@ -554,5 +599,8 @@ mod tests {
         check(VerticalCuckooFilter::new(config()).unwrap());
         check(Dvcf::with_r(config(), 0.5).unwrap());
         check(KVcf::new(config().with_fingerprint_bits(16), 6).unwrap());
+        check(dcf(10));
+        check(dcf(11));
+        check(vf());
     }
 }

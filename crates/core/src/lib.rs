@@ -15,11 +15,15 @@
 //!   per-slot mark bits (Section III-C, Theorem 2).
 //! * [`CuckooFilter`] — the standard two-candidate CF (Equ. 1), the
 //!   paper's baseline.
+//! * [`DaryCuckooFilter`] — the D-ary cuckoo filter (Equ. 2, `d = 4`),
+//!   the paper's DCF baseline, over [`base_d`] digit arithmetic.
+//! * [`VacuumFilter`] — the chunked two-candidate Vacuum filter
+//!   (related work [14]) over non-power-of-two tables.
 //!
-//! All four are aliases of one engine, [`CuckooCore`], over a
+//! All six are aliases of one engine, [`CuckooCore`], over a
 //! [`CandidatePolicy`] that derives the candidate buckets; insertion,
 //! the random-walk eviction with rollback, lookup and deletion exist
-//! once.
+//! once. `vcf-baselines` re-exports the three baselines.
 //!
 //! ## Vertical hashing in one paragraph
 //!
@@ -57,11 +61,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// Base-`d` digit-wise modular arithmetic behind DCF's Equ. 2.
+pub mod base_d;
 mod bitmask;
 mod cf;
 mod concurrent;
 mod config;
 mod cuckoo;
+mod dcf;
 mod dvcf;
 mod dynamic;
 mod kvcf;
@@ -71,6 +78,7 @@ mod sharded;
 /// `FUZ1` frozen-generation record.
 pub mod snapshot;
 mod tiered;
+mod vacuum;
 mod vcf;
 mod vertical;
 
@@ -79,6 +87,7 @@ pub use cf::{CfPolicy, CuckooFilter};
 pub use concurrent::ConcurrentVcf;
 pub use config::CuckooConfig;
 pub use cuckoo::{CandidatePolicy, CuckooCore};
+pub use dcf::{DaryCuckooFilter, DcfPolicy};
 pub use dvcf::{Dvcf, DvcfPolicy};
 pub use dynamic::DynamicVcf;
 pub use kvcf::{KVcf, KVcfPolicy};
@@ -86,6 +95,7 @@ pub use scalable::{MigrationStats, ScalableVcf};
 pub use sharded::{ShardRouter, ShardedConcurrentVcf, ShardedScalableVcf, ShardedVcf};
 pub use snapshot::SnapshotError;
 pub use tiered::{RotationStats, TieredFilter};
+pub use vacuum::{VacuumFilter, VacuumPolicy};
 pub use vcf::{VcfPolicy, VerticalCuckooFilter};
 pub use vertical::{Candidates, VerticalParams};
 
@@ -103,16 +113,19 @@ pub(crate) mod key {
     /// sentinel in `vcf-table`.
     #[inline]
     pub fn derive(h: u64, fingerprint_bits: u32, index_mask: u64) -> (u32, usize) {
+        (fingerprint(h, fingerprint_bits), (h & index_mask) as usize)
+    }
+
+    /// The `f`-bit fingerprint half of [`derive`].
+    #[inline]
+    pub fn fingerprint(h: u64, fingerprint_bits: u32) -> u32 {
         let fp_mask = if fingerprint_bits == 32 {
             u32::MAX
         } else {
             (1u32 << fingerprint_bits) - 1
         };
-        let mut fp = ((h >> 32) as u32) & fp_mask;
-        if fp == 0 {
-            fp = 1;
-        }
-        (fp, (h & index_mask) as usize)
+        let fp = ((h >> 32) as u32) & fp_mask;
+        fp.max(1)
     }
 
     /// Hashes an item with `kind` and derives `(fingerprint, primary

@@ -9,11 +9,8 @@ use vcf_traits::{BuildError, Filter};
 pub enum FilterKind {
     /// Standard Cuckoo filter.
     Cf,
-    /// D-ary Cuckoo filter with `d` candidates (the paper fixes 4).
-    Dcf {
-        /// Number of candidate buckets.
-        d: usize,
-    },
+    /// D-ary Cuckoo filter with the paper's `d = 4` candidates.
+    Dcf,
     /// Standard VCF (balanced bitmasks).
     Vcf,
     /// `IVCF_i`: `ones` one-bits in the first bitmask.
@@ -58,7 +55,7 @@ impl FilterSpec {
     /// DCF baseline with `d = 4` as in the paper.
     pub fn dcf() -> Self {
         Self {
-            kind: FilterKind::Dcf { d: 4 },
+            kind: FilterKind::Dcf,
             label: "DCF".into(),
             r: f64::NAN,
         }
@@ -110,7 +107,7 @@ impl FilterSpec {
     pub fn build(&self, config: CuckooConfig) -> Result<Box<dyn Filter>, BuildError> {
         Ok(match self.kind {
             FilterKind::Cf => Box::new(CuckooFilter::new(config)?),
-            FilterKind::Dcf { d } => Box::new(DaryCuckooFilter::new(config, d)?),
+            FilterKind::Dcf => Box::new(DaryCuckooFilter::new(config)?),
             FilterKind::Vcf => Box::new(VerticalCuckooFilter::new(config)?),
             FilterKind::Ivcf { ones } => {
                 Box::new(VerticalCuckooFilter::with_mask_ones(config, ones)?)

@@ -427,6 +427,8 @@ mod tests {
     }
 
     #[test]
+    // The check is a `debug_assert!`: release builds skip it.
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "does not fit")]
     fn oversized_mark_panics() {
         let mut t = table();
@@ -440,6 +442,8 @@ mod tests {
     }
 
     #[test]
+    // The check is a `debug_assert!`: release builds skip it.
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "empty sentinel")]
     fn zero_fingerprint_panics() {
         let mut t = table();

@@ -217,6 +217,8 @@ mod tests {
     }
 
     #[test]
+    // The check is a `debug_assert!`: release builds skip it.
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "out of bounds")]
     fn get_out_of_bounds_panics() {
         let t = PackedTable::new(4, 8).unwrap();
@@ -224,6 +226,8 @@ mod tests {
     }
 
     #[test]
+    // The check is a `debug_assert!`: release builds skip it.
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "exceeds slot width")]
     fn set_oversized_value_panics() {
         let mut t = PackedTable::new(4, 8).unwrap();

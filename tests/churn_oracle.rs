@@ -110,7 +110,7 @@ fn churn_dcf() {
     let config = CuckooConfig::with_total_slots(1 << 12).with_seed(6);
     let working_set = (1usize << 12) * 60 / 100;
     replay_and_check(
-        &mut DaryCuckooFilter::new(config, 4).unwrap(),
+        &mut DaryCuckooFilter::new(config).unwrap(),
         &trace(6, working_set),
     );
 }

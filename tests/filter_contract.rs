@@ -26,7 +26,7 @@ fn deletable_filters() -> Vec<Box<dyn Filter>> {
         Box::new(VerticalCuckooFilter::with_mask_ones(config(), 3).unwrap()),
         Box::new(Dvcf::with_r(config(), 0.5).unwrap()),
         Box::new(KVcf::new(config().with_fingerprint_bits(16), 6).unwrap()),
-        Box::new(DaryCuckooFilter::new(config(), 4).unwrap()),
+        Box::new(DaryCuckooFilter::new(config()).unwrap()),
         Box::new(CountingBloomFilter::new(BloomConfig::for_items(1024, 1e-3)).unwrap()),
         Box::new(DlCountingBloomFilter::new(DlCbfConfig::for_items(1024)).unwrap()),
         Box::new(QuotientFilter::new(11, 12).unwrap()),
@@ -208,7 +208,7 @@ fn failed_inserts_leave_filters_unchanged() {
         Box::new(CuckooFilter::new(CuckooConfig::new(1 << 5).with_seed(1)).unwrap()),
         Box::new(VerticalCuckooFilter::new(CuckooConfig::new(1 << 5).with_seed(1)).unwrap()),
         Box::new(Dvcf::with_r(CuckooConfig::new(1 << 5).with_seed(1), 0.75).unwrap()),
-        Box::new(DaryCuckooFilter::new(CuckooConfig::new(1 << 6).with_seed(1), 4).unwrap()),
+        Box::new(DaryCuckooFilter::new(CuckooConfig::new(1 << 6).with_seed(1)).unwrap()),
         Box::new(
             KVcf::new(
                 CuckooConfig::new(1 << 5)

@@ -160,7 +160,7 @@ fn claim_dcf_pays_more_for_lookups() {
     let aliens = KeyStream::new(0x7777).take_vec(20_000);
 
     let mut cf = CuckooFilter::new(config(7)).unwrap();
-    let mut dcf = DaryCuckooFilter::new(config(7), 4).unwrap();
+    let mut dcf = DaryCuckooFilter::new(config(7)).unwrap();
     for key in &keys {
         let _ = cf.insert(key);
         let _ = dcf.insert(key);

@@ -116,7 +116,7 @@ proptest! {
 
     #[test]
     fn dcf_respects_oracle(ops in prop::collection::vec(op_strategy(), 1..400)) {
-        check_against_oracle(Box::new(DaryCuckooFilter::new(config(), 4).unwrap()), &ops);
+        check_against_oracle(Box::new(DaryCuckooFilter::new(config()).unwrap()), &ops);
     }
 
     #[test]
