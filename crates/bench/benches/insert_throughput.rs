@@ -4,12 +4,13 @@
 //! 95 % (the insertion-intensive regime where VCF's extra candidates pay
 //! off) — plus an `insert/batch` group that pits the pipelined
 //! [`Filter::insert_batch`] path (hash + prefetch a window up front)
-//! against the plain serial loop on the same key set.
+//! against the plain serial loop on the same key set, for the sequential
+//! filters and for the lock-free `ConcurrentVcf` the server runs.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use vcf_baselines::{BloomConfig, BloomFilter, CuckooFilter, DaryCuckooFilter};
 use vcf_bench::{bench_keys, BATCH_SLOTS_LOG2, BENCH_SLOTS_LOG2};
-use vcf_core::{CuckooConfig, Dvcf, KVcf, VerticalCuckooFilter};
+use vcf_core::{ConcurrentVcf, CuckooConfig, Dvcf, KVcf, VerticalCuckooFilter};
 use vcf_traits::Filter;
 
 fn config() -> CuckooConfig {
@@ -118,6 +119,9 @@ fn insert_benches(c: &mut Criterion) {
     });
     bench_batch(c, "KVCF_k4", 0.5, move || {
         KVcf::new(batch_config(), 4).unwrap()
+    });
+    bench_batch(c, "ConcurrentVCF", 0.5, move || {
+        ConcurrentVcf::new(batch_config()).unwrap()
     });
 }
 

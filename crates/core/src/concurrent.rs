@@ -22,6 +22,9 @@
 //! * **Delete** locks the candidate buckets (ascending order) so it can
 //!   never race a relocation of the same fingerprint into removing two
 //!   copies (or zero).
+//! * **Batches** (`insert_batch`, `delete_batch`) prefetch a window of
+//!   keys' candidate buckets, then run each key through the same
+//!   per-key body as the single-key op, and publish their counters once.
 //!
 //! The seqlocks are *striped*: bucket `i` is guarded by stripe
 //! `i & (stripes − 1)`, one stripe per [`BUCKETS_PER_STRIPE`] buckets.
@@ -52,13 +55,18 @@ use rand::{Rng, SeedableRng};
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 use vcf_hash::{mix64, HashKind};
 use vcf_table::AtomicFingerprintTable;
-use vcf_traits::{BuildError, ConcurrentFilter, Counters, Filter, InsertError, Stats};
+use vcf_traits::{BuildError, ConcurrentFilter, Counters, Filter, InsertError, OpCounters, Stats};
 
 /// Maximum length of one unlocked relocation path. Longer cascades are
 /// split across retries of the outer kick loop, so this bounds how much
 /// speculative (unlocked) scanning a single attempt performs, not how far
 /// an insert can relocate in total.
 const MAX_PATH: usize = 5;
+
+/// Keys hashed, and their candidate buckets prefetched, ahead of the
+/// first placement or delete of a batch window — the same depth as the
+/// sequential engine's insert pipeline.
+const WINDOW: usize = 16;
 
 /// Optimistic lookup retries before falling back to locking the
 /// candidate buckets.
@@ -374,6 +382,33 @@ impl ConcurrentVcf {
         self.unlock(lo);
     }
 
+    // ---- batching -----------------------------------------------------
+
+    /// Hashes `items` a window of [`WINDOW`] at a time, prefetching every
+    /// candidate bucket of the window before `op` runs on its first key,
+    /// then runs `op` on each key in input order. The prefetch is only a
+    /// hint: `op` re-reads every word it decides on under its own CAS or
+    /// seqlock protocol, so a line that a concurrent writer changed in
+    /// between costs a miss, never a wrong answer.
+    #[inline]
+    fn for_each_prefetched(&self, items: &[&[u8]], mut op: impl FnMut(u32, &Candidates)) {
+        let mut window = Vec::with_capacity(WINDOW.min(items.len()));
+        for chunk in items.chunks(WINDOW) {
+            window.clear();
+            for item in chunk {
+                let (fingerprint, b1) = self.key_of(item);
+                let cands = self.candidates_of(fingerprint, b1);
+                for bucket in cands.iter() {
+                    self.table.prefetch_bucket(bucket);
+                }
+                window.push((fingerprint, cands));
+            }
+            for (fingerprint, cands) in &window {
+                op(*fingerprint, cands);
+            }
+        }
+    }
+
     // ---- insert -------------------------------------------------------
 
     // lint: hot-path
@@ -385,46 +420,70 @@ impl ConcurrentVcf {
     /// cannot free a candidate slot.
     pub fn insert(&self, item: &[u8]) -> Result<(), InsertError> {
         let (fingerprint, b1) = self.key_of(item);
-        let hfp = self.hash.hash_fingerprint(fingerprint);
-        self.counters.add_hashes(2); // hash(x) + hash(η)
-        let cands = self.params.candidates(b1, hfp);
+        let cands = self.candidates_of(fingerprint, b1);
+        let mut stats = Stats::new();
+        stats.hash_computations = 2; // hash(x) + hash(η)
+        let result = self.insert_key(fingerprint, &cands, &mut stats);
+        self.counters.add(&stats);
+        result
+    }
+
+    // lint: hot-path
+    /// Batched insert: prefetches a window of keys' candidate buckets,
+    /// then places each key in input order through the same walk as
+    /// [`insert`](Self::insert). Results, table words, the relocation
+    /// PRNG streams and [`stats`](Self::stats) match the serial loop bit
+    /// for bit; the counters are published once, at the end.
+    pub fn insert_batch(&self, items: &[&[u8]]) -> Vec<Result<(), InsertError>> {
+        let mut out = Vec::with_capacity(items.len());
+        let mut stats = Stats::new();
+        stats.hash_computations = 2 * items.len() as u64;
+        self.for_each_prefetched(items, |fingerprint, cands| {
+            out.push(self.insert_key(fingerprint, cands, &mut stats));
+        });
+        self.counters.add(&stats);
+        out
+    }
+
+    /// Places one derived key: CAS-claim a free candidate lane, else run
+    /// the relocation walk. Counts into `stats`, which the caller flushes.
+    fn insert_key(
+        &self,
+        fingerprint: u32,
+        cands: &Candidates,
+        stats: &mut Stats,
+    ) -> Result<(), InsertError> {
         let (distinct, distinct_len) = Self::distinct_sorted(cands.buckets);
         let slots = self.table.slots_per_bucket() as u64;
 
         let mut probes = 0u64;
         let mut kicks = 0u64;
         let mut rng: Option<SmallRng> = None;
-        loop {
+        let result = 'walk: loop {
             // Fast path: CAS-claim an empty lane in any candidate bucket.
             // Re-run each round — concurrent deletes may free slots while
             // we are path-hunting.
             for &bucket in &distinct[..distinct_len] {
                 probes += slots;
                 if self.table.try_claim(bucket, fingerprint).is_some() {
-                    self.counters.add_kicks(kicks);
-                    self.counters.record_insert(probes, 4 + 3 * kicks);
-                    return Ok(());
+                    break 'walk Ok(());
                 }
             }
             if kicks >= u64::from(self.max_kicks) {
-                self.counters.add_kicks(kicks);
-                self.counters.record_insert(probes, 4 + 3 * kicks);
-                self.counters.add_failed_insert();
-                return Err(InsertError::Full { kicks });
+                stats.failed_inserts += 1;
+                break Err(InsertError::Full { kicks });
             }
 
             let rng = rng.get_or_insert_with(|| {
                 let salt = self.rng_salt.fetch_add(1, Ordering::Relaxed);
                 SmallRng::seed_from_u64(mix64(salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
             });
-            match self.find_path(&cands, rng, &mut probes) {
+            match self.find_path(cands, rng, &mut probes) {
                 Some((path, final_dst)) => {
                     kicks += path.len() as u64;
-                    self.counters.add_hashes(path.len() as u64);
+                    stats.hash_computations += path.len() as u64;
                     if self.execute_path(&path, final_dst, fingerprint) {
-                        self.counters.add_kicks(kicks);
-                        self.counters.record_insert(probes, 4 + 3 * kicks);
-                        return Ok(());
+                        break Ok(());
                     }
                     // A concurrent mutation invalidated the chain; the
                     // executed prefix (if any) already re-homed its
@@ -432,7 +491,10 @@ impl ConcurrentVcf {
                 }
                 None => kicks += 1,
             }
-        }
+        };
+        stats.kicks += kicks;
+        stats.inserts += OpCounters::one_call(probes, 4 + 3 * kicks);
+        result
     }
 
     /// Speculatively (without locks) finds a relocation chain: a sequence
@@ -553,14 +615,15 @@ impl ConcurrentVcf {
     /// Membership probe for an already-derived key. Wait-free on hits;
     /// misses validate the candidate buckets' seqlock stripes so a
     /// relocation hopping the fingerprint "behind" the probe order cannot
-    /// manufacture a false negative.
-    fn contains_key(&self, fingerprint: u32, cands: &Candidates) -> bool {
+    /// manufacture a false negative. Counts into `stats`.
+    fn contains_key(&self, fingerprint: u32, cands: &Candidates, stats: &mut Stats) -> bool {
         let (distinct, distinct_len) = Self::distinct_sorted(cands.buckets);
         let distinct = &distinct[..distinct_len];
         let (stripes, stripe_len) = self.candidate_stripes(cands);
         let stripes = &stripes[..stripe_len];
         debug_assert!(stripes.iter().all(|&s| s < self.stripes.len()));
         let slots = self.table.slots_per_bucket() as u64;
+        let accesses = distinct_len as u64;
 
         let mut before = [0u32; 4];
         for _attempt in 0..CONTAINS_RETRIES {
@@ -574,7 +637,7 @@ impl ConcurrentVcf {
             for &bucket in distinct {
                 probes += slots;
                 if self.table.contains(bucket, fingerprint) {
-                    self.counters.record_lookup(probes, distinct_len as u64);
+                    stats.lookups += OpCounters::one_call(probes, accesses);
                     return true;
                 }
             }
@@ -591,7 +654,7 @@ impl ConcurrentVcf {
                     // by the seqlock-protocol rule).
                     .all(|(i, &stripe)| self.stripes[stripe].load(Ordering::Relaxed) == before[i])
             {
-                self.counters.record_lookup(probes, distinct_len as u64);
+                stats.lookups += OpCounters::one_call(probes, accesses);
                 return false;
             }
             std::hint::spin_loop();
@@ -615,7 +678,7 @@ impl ConcurrentVcf {
         for &stripe in stripes.iter().rev() {
             self.unlock(stripe);
         }
-        self.counters.record_lookup(probes, distinct_len as u64);
+        stats.lookups += OpCounters::one_call(probes, accesses);
         found
     }
 
@@ -625,13 +688,17 @@ impl ConcurrentVcf {
     pub fn contains(&self, item: &[u8]) -> bool {
         let (fingerprint, b1) = self.key_of(item);
         let cands = self.candidates_of(fingerprint, b1);
-        self.contains_key(fingerprint, &cands)
+        let mut stats = Stats::new();
+        let found = self.contains_key(fingerprint, &cands, &mut stats);
+        self.counters.add(&stats);
+        found
     }
 
     // lint: hot-path
     /// Batched lookup: hashes every item up front, touching candidate
     /// buckets to overlap cache misses (same scheme as the sequential
-    /// VCF), then probes each item optimistically.
+    /// VCF), then probes each item optimistically. The counters are
+    /// published once, at the end.
     pub fn contains_batch(&self, items: &[&[u8]]) -> Vec<bool> {
         let mut keys = Vec::with_capacity(items.len());
         for item in items {
@@ -642,28 +709,54 @@ impl ConcurrentVcf {
             }
             keys.push((fingerprint, cands));
         }
-        keys.iter()
-            .map(|&(fingerprint, ref cands)| self.contains_key(fingerprint, cands))
-            .collect()
+        let mut stats = Stats::new();
+        let found = keys
+            .iter()
+            .map(|(fingerprint, cands)| self.contains_key(*fingerprint, cands, &mut stats))
+            .collect();
+        self.counters.add(&stats);
+        found
     }
 
     // ---- delete -------------------------------------------------------
 
     // lint: hot-path
     /// Removes one copy of `item`; returns `true` if a copy was removed.
-    ///
-    /// Takes the (≤ 4) distinct candidate stripe locks in ascending
-    /// order. By Theorem 1 closure any concurrent relocation of this
-    /// fingerprint moves it between two of *these* buckets, so holding
-    /// their stripes gives an exact answer: exactly one copy removed if
-    /// any exists.
     pub fn delete(&self, item: &[u8]) -> bool {
         let (fingerprint, b1) = self.key_of(item);
-        self.counters.add_hashes(2);
         let cands = self.candidates_of(fingerprint, b1);
+        let mut stats = Stats::new();
+        stats.hash_computations = 2;
+        let removed = self.delete_key(fingerprint, &cands, &mut stats);
+        self.counters.add(&stats);
+        removed
+    }
+
+    // lint: hot-path
+    /// Batched delete: prefetches a window of keys' candidate buckets,
+    /// then deletes each key in input order through the same body as
+    /// [`delete`](Self::delete), so a key repeated in the batch removes
+    /// one copy per occurrence. The counters are published once.
+    pub fn delete_batch(&self, items: &[&[u8]]) -> Vec<bool> {
+        let mut out = Vec::with_capacity(items.len());
+        let mut stats = Stats::new();
+        stats.hash_computations = 2 * items.len() as u64;
+        self.for_each_prefetched(items, |fingerprint, cands| {
+            out.push(self.delete_key(fingerprint, cands, &mut stats));
+        });
+        self.counters.add(&stats);
+        out
+    }
+
+    /// Removes one copy of a derived key. Takes the (≤ 4) distinct
+    /// candidate stripe locks in ascending order. By Theorem 1 closure any
+    /// concurrent relocation of this fingerprint moves it between two of
+    /// *these* buckets, so holding their stripes gives an exact answer:
+    /// exactly one copy removed if any exists. Counts into `stats`.
+    fn delete_key(&self, fingerprint: u32, cands: &Candidates, stats: &mut Stats) -> bool {
         let (distinct, distinct_len) = Self::distinct_sorted(cands.buckets);
         let distinct = &distinct[..distinct_len];
-        let (stripes, stripe_len) = self.candidate_stripes(&cands);
+        let (stripes, stripe_len) = self.candidate_stripes(cands);
         let stripes = &stripes[..stripe_len];
 
         for &stripe in stripes {
@@ -682,7 +775,7 @@ impl ConcurrentVcf {
         for &stripe in stripes.iter().rev() {
             self.unlock(stripe);
         }
-        self.counters.record_delete(probes, distinct_len as u64);
+        stats.deletes += OpCounters::one_call(probes, distinct_len as u64);
         removed
     }
 
@@ -729,6 +822,10 @@ impl ConcurrentFilter for ConcurrentVcf {
         ConcurrentVcf::insert(self, item)
     }
 
+    fn insert_batch(&self, items: &[&[u8]]) -> Vec<Result<(), InsertError>> {
+        ConcurrentVcf::insert_batch(self, items)
+    }
+
     fn contains(&self, item: &[u8]) -> bool {
         ConcurrentVcf::contains(self, item)
     }
@@ -739,6 +836,10 @@ impl ConcurrentFilter for ConcurrentVcf {
 
     fn delete(&self, item: &[u8]) -> bool {
         ConcurrentVcf::delete(self, item)
+    }
+
+    fn delete_batch(&self, items: &[&[u8]]) -> Vec<bool> {
+        ConcurrentVcf::delete_batch(self, items)
     }
 
     fn len(&self) -> usize {
@@ -768,6 +869,10 @@ impl ConcurrentFilter for ConcurrentVcf {
 impl Filter for ConcurrentVcf {
     fn insert(&mut self, item: &[u8]) -> Result<(), InsertError> {
         ConcurrentVcf::insert(self, item)
+    }
+
+    fn insert_batch(&mut self, items: &[&[u8]]) -> Vec<Result<(), InsertError>> {
+        ConcurrentVcf::insert_batch(self, items)
     }
 
     fn contains(&self, item: &[u8]) -> bool {
@@ -1009,6 +1114,94 @@ mod tests {
         for (i, k) in refs.iter().enumerate() {
             assert_eq!(batch[i], f.contains(k), "batch diverged at {i}");
         }
+    }
+
+    /// Consecutive batches of 1, 16, 17 and 300 items, cycling: one
+    /// key, one full window, a window plus one, and a long batch whose
+    /// last window is ragged.
+    fn ragged<'a>(mut items: &'a [&'a [u8]]) -> Vec<&'a [&'a [u8]]> {
+        let mut out = Vec::new();
+        for size in [1, 16, 17, 300].into_iter().cycle() {
+            if items.is_empty() {
+                break;
+            }
+            let (head, tail) = items.split_at(size.min(items.len()));
+            out.push(head);
+            items = tail;
+        }
+        out
+    }
+
+    /// Same occupied slots, occupancy and counters.
+    fn assert_same_state(serial: &ConcurrentVcf, batched: &ConcurrentVcf, phase: &str) {
+        let slots = |f: &ConcurrentVcf| f.table.iter().collect::<Vec<_>>();
+        assert_eq!(slots(serial), slots(batched), "{phase}: table diverged");
+        assert_eq!(serial.len(), batched.len(), "{phase}: len diverged");
+        assert_eq!(serial.stats(), batched.stats(), "{phase}: stats diverged");
+    }
+
+    #[test]
+    fn batches_match_the_serial_loop_exactly() {
+        let make = || ConcurrentVcf::new(CuckooConfig::new(1 << 8).with_seed(21)).unwrap();
+        let (serial, batched) = (make(), make());
+        // 120% of capacity, every fifth key a repeat of the one before it
+        // (so duplicates share a batch): walks run and the tail is Full.
+        let n = serial.capacity() as u64 * 6 / 5;
+        let keys: Vec<Vec<u8>> = (0..n).map(|i| key(i - u64::from(i % 5 == 4))).collect();
+        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+
+        let inserted: Vec<_> = refs.iter().map(|k| serial.insert(k)).collect();
+        let got: Vec<_> = ragged(&refs)
+            .into_iter()
+            .flat_map(|batch| batched.insert_batch(batch))
+            .collect();
+        assert_eq!(inserted, got, "insert results diverged");
+        assert!(
+            inserted.iter().any(Result::is_err),
+            "the fill never hit Full"
+        );
+        assert!(serial.stats().kicks > 0, "the fill never walked");
+        assert_same_state(&serial, &batched, "insert");
+
+        let probes: Vec<Vec<u8>> = (0..2 * n).map(key).collect();
+        let probes: Vec<&[u8]> = probes.iter().map(Vec::as_slice).collect();
+        let want: Vec<bool> = probes.iter().map(|k| serial.contains(k)).collect();
+        let got: Vec<bool> = ragged(&probes)
+            .into_iter()
+            .flat_map(|batch| batched.contains_batch(batch))
+            .collect();
+        assert_eq!(want, got, "lookup answers diverged");
+        assert_same_state(&serial, &batched, "lookup");
+
+        // Every acknowledged copy once, then every key again: each
+        // duplicate removes one copy, in order, and the second pass
+        // finds an empty table.
+        let acknowledged = refs.iter().zip(&inserted).filter(|(_, r)| r.is_ok());
+        let deletes: Vec<&[u8]> = acknowledged
+            .map(|(k, _)| *k)
+            .chain(refs.iter().copied())
+            .collect();
+        let want: Vec<bool> = deletes.iter().map(|k| serial.delete(k)).collect();
+        let got: Vec<bool> = ragged(&deletes)
+            .into_iter()
+            .flat_map(|batch| batched.delete_batch(batch))
+            .collect();
+        assert_eq!(want, got, "delete answers diverged");
+        let first_pass = deletes.len() - refs.len();
+        assert!(want[..first_pass].iter().all(|&removed| removed));
+        assert!(!want[first_pass..].iter().any(|&removed| removed));
+        assert_eq!(serial.len(), 0);
+        assert_same_state(&serial, &batched, "delete");
+
+        let before = batched.stats();
+        assert!(batched.insert_batch(&[]).is_empty());
+        assert!(batched.contains_batch(&[]).is_empty());
+        assert!(batched.delete_batch(&[]).is_empty());
+        assert_eq!(
+            batched.stats(),
+            before,
+            "an empty batch touched the counters"
+        );
     }
 
     #[test]

@@ -302,12 +302,10 @@ impl<P: CandidatePolicy> CuckooCore<P> {
         let (result, t) = self
             .walk
             .place(&self.policy, &mut self.table, self.hash, key);
-        // First fit, the common case, kicks nothing and hashes nothing
-        // more: skip two atomic adds.
-        if t.kicks > 0 {
-            self.counters.add_kicks(t.kicks);
-            self.counters.add_hashes(t.hashes);
-        }
+        // Both skip a zero delta: first fit, the common case, kicks
+        // nothing and hashes nothing more.
+        self.counters.add_kicks(t.kicks);
+        self.counters.add_hashes(t.hashes);
         self.counters.record_insert(t.probes, t.accesses);
         if result.is_err() {
             self.counters.add_failed_insert();

@@ -30,6 +30,7 @@
 //! with `&self` mutators.
 
 use crate::bucket::{BucketEngine, BucketWords};
+use crate::prefetch::prefetch_read;
 use crate::{MAX_BUCKET_SLOTS, MAX_FINGERPRINT_BITS, MIN_FINGERPRINT_BITS};
 use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use vcf_traits::BuildError;
@@ -362,6 +363,21 @@ impl AtomicFingerprintTable {
         std::hint::black_box(
             self.words[bucket * self.engine.engine().words_per_bucket()].load(Ordering::Relaxed),
         );
+    }
+
+    /// Issues a software prefetch for `bucket`'s words — the batched
+    /// writers' warm-up hook. It loads nothing, so it neither stalls nor
+    /// takes part in any atomic protocol: the operation that later reads
+    /// the bucket re-loads every word it decides on.
+    #[inline]
+    pub fn prefetch_bucket(&self, bucket: usize) {
+        debug_assert!(bucket < self.buckets, "bucket {bucket} out of range");
+        let wpb = self.engine.engine().words_per_bucket();
+        let base = bucket * wpb;
+        prefetch_read(&self.words[base]);
+        if wpb > 1 {
+            prefetch_read(&self.words[base + wpb - 1]);
+        }
     }
 
     /// Reads the fingerprint in `(bucket, slot)`; `0` means empty.

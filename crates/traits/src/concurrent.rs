@@ -41,8 +41,9 @@ pub trait ConcurrentFilter: Send + Sync {
     /// Inserts many items at once, returning one result per item in
     /// order. Like [`Filter::insert_batch`], a full filter does not stop
     /// the batch: each item reports its own outcome. Implementations
-    /// override this to batch lock acquisitions or reuse the sequential
-    /// prefetch pipelines under a single exclusive section.
+    /// override this to batch lock acquisitions, reuse the sequential
+    /// prefetch pipelines under a single exclusive section, or prefetch
+    /// a window of candidate buckets ahead of lock-free placement.
     fn insert_batch(&self, items: &[&[u8]]) -> Vec<Result<(), InsertError>> {
         items.iter().map(|item| self.insert(item)).collect()
     }

@@ -2,8 +2,10 @@
 //!
 //! Lookup methods take `&self` but still need to count slot probes for the
 //! paper's time-cost analysis (Section V-C measures lookup cost in memory
-//! accesses). `Counters` therefore uses relaxed atomics: negligible cost on
-//! the hot path, and the filters stay `Send + Sync`.
+//! accesses). `Counters` therefore uses relaxed atomics, so the filters
+//! stay `Send + Sync`. Each add is still a lock-prefixed read-modify-write
+//! on x86, so hot batch paths count into a local [`Stats`] and publish it
+//! with one [`Counters::add`] per batch.
 
 use crate::{OpCounters, Stats};
 use core::sync::atomic::{AtomicU64, Ordering};
@@ -17,6 +19,13 @@ pub(crate) struct AtomicOpCounters {
 }
 
 impl AtomicOpCounters {
+    #[inline]
+    fn add(&self, op: &OpCounters) {
+        add_nonzero(&self.calls, op.calls);
+        add_nonzero(&self.slot_probes, op.slot_probes);
+        add_nonzero(&self.bucket_accesses, op.bucket_accesses);
+    }
+
     fn snapshot(&self) -> OpCounters {
         OpCounters {
             calls: self.calls.load(Ordering::Relaxed),
@@ -29,6 +38,15 @@ impl AtomicOpCounters {
         self.calls.store(0, Ordering::Relaxed);
         self.slot_probes.store(0, Ordering::Relaxed);
         self.bucket_accesses.store(0, Ordering::Relaxed);
+    }
+}
+
+/// One relaxed `fetch_add`, skipped when `n` is zero: each add is a
+/// lock-prefixed read-modify-write, so a zero delta is not free.
+#[inline]
+fn add_nonzero(counter: &AtomicU64, n: u64) {
+    if n != 0 {
+        counter.fetch_add(n, Ordering::Relaxed);
     }
 }
 
@@ -70,43 +88,28 @@ impl Counters {
     /// `bucket_accesses` buckets.
     #[inline]
     pub fn record_insert(&self, slot_probes: u64, bucket_accesses: u64) {
-        self.inserts.calls.fetch_add(1, Ordering::Relaxed);
         self.inserts
-            .slot_probes
-            .fetch_add(slot_probes, Ordering::Relaxed);
-        self.inserts
-            .bucket_accesses
-            .fetch_add(bucket_accesses, Ordering::Relaxed);
+            .add(&OpCounters::one_call(slot_probes, bucket_accesses));
     }
 
     /// Records one lookup call.
     #[inline]
     pub fn record_lookup(&self, slot_probes: u64, bucket_accesses: u64) {
-        self.lookups.calls.fetch_add(1, Ordering::Relaxed);
         self.lookups
-            .slot_probes
-            .fetch_add(slot_probes, Ordering::Relaxed);
-        self.lookups
-            .bucket_accesses
-            .fetch_add(bucket_accesses, Ordering::Relaxed);
+            .add(&OpCounters::one_call(slot_probes, bucket_accesses));
     }
 
     /// Records one delete call.
     #[inline]
     pub fn record_delete(&self, slot_probes: u64, bucket_accesses: u64) {
-        self.deletes.calls.fetch_add(1, Ordering::Relaxed);
         self.deletes
-            .slot_probes
-            .fetch_add(slot_probes, Ordering::Relaxed);
-        self.deletes
-            .bucket_accesses
-            .fetch_add(bucket_accesses, Ordering::Relaxed);
+            .add(&OpCounters::one_call(slot_probes, bucket_accesses));
     }
 
     /// Adds `n` fingerprint relocations (paper: kick-outs).
     #[inline]
     pub fn add_kicks(&self, n: u64) {
-        self.kicks.fetch_add(n, Ordering::Relaxed);
+        add_nonzero(&self.kicks, n);
     }
 
     /// Records one insertion failure (kick limit reached).
@@ -118,7 +121,34 @@ impl Counters {
     /// Adds `n` full hash computations (over item bytes or fingerprints).
     #[inline]
     pub fn add_hashes(&self, n: u64) {
-        self.hash_computations.fetch_add(n, Ordering::Relaxed);
+        add_nonzero(&self.hash_computations, n);
+    }
+
+    /// Adds every field of `delta` — the flush for callers that count
+    /// into a local [`Stats`] and publish once per operation or batch.
+    /// Zero fields are skipped, so a first-fit insert costs four atomic
+    /// adds however it was counted, and a batch costs at most twelve.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use vcf_traits::{Counters, Stats};
+    ///
+    /// let counters = Counters::new();
+    /// let mut delta = Stats::new();
+    /// delta.inserts.calls = 16;
+    /// delta.hash_computations = 32;
+    /// counters.add(&delta);
+    /// assert_eq!(counters.snapshot(), delta);
+    /// ```
+    #[inline]
+    pub fn add(&self, delta: &Stats) {
+        self.inserts.add(&delta.inserts);
+        self.lookups.add(&delta.lookups);
+        self.deletes.add(&delta.deletes);
+        add_nonzero(&self.kicks, delta.kicks);
+        add_nonzero(&self.failed_inserts, delta.failed_inserts);
+        add_nonzero(&self.hash_computations, delta.hash_computations);
     }
 
     /// Takes a consistent-enough snapshot for reporting.
@@ -146,40 +176,8 @@ impl Counters {
 
 impl Clone for Counters {
     fn clone(&self) -> Self {
-        let snap = self.snapshot();
         let new = Counters::new();
-        new.inserts
-            .calls
-            .store(snap.inserts.calls, Ordering::Relaxed);
-        new.inserts
-            .slot_probes
-            .store(snap.inserts.slot_probes, Ordering::Relaxed);
-        new.inserts
-            .bucket_accesses
-            .store(snap.inserts.bucket_accesses, Ordering::Relaxed);
-        new.lookups
-            .calls
-            .store(snap.lookups.calls, Ordering::Relaxed);
-        new.lookups
-            .slot_probes
-            .store(snap.lookups.slot_probes, Ordering::Relaxed);
-        new.lookups
-            .bucket_accesses
-            .store(snap.lookups.bucket_accesses, Ordering::Relaxed);
-        new.deletes
-            .calls
-            .store(snap.deletes.calls, Ordering::Relaxed);
-        new.deletes
-            .slot_probes
-            .store(snap.deletes.slot_probes, Ordering::Relaxed);
-        new.deletes
-            .bucket_accesses
-            .store(snap.deletes.bucket_accesses, Ordering::Relaxed);
-        new.kicks.store(snap.kicks, Ordering::Relaxed);
-        new.failed_inserts
-            .store(snap.failed_inserts, Ordering::Relaxed);
-        new.hash_computations
-            .store(snap.hash_computations, Ordering::Relaxed);
+        new.add(&self.snapshot());
         new
     }
 }
@@ -225,6 +223,92 @@ mod tests {
         c.add_hashes(3);
         let d = c.clone();
         assert_eq!(c.snapshot(), d.snapshot());
+    }
+
+    /// A delta with every field distinct and non-zero, scaled by `k`.
+    fn delta(k: u64) -> Stats {
+        Stats {
+            inserts: OpCounters {
+                calls: k,
+                slot_probes: 2 * k,
+                bucket_accesses: 3 * k,
+            },
+            lookups: OpCounters {
+                calls: 4 * k,
+                slot_probes: 5 * k,
+                bucket_accesses: 6 * k,
+            },
+            deletes: OpCounters {
+                calls: 7 * k,
+                slot_probes: 8 * k,
+                bucket_accesses: 9 * k,
+            },
+            kicks: 10 * k,
+            failed_inserts: 11 * k,
+            hash_computations: 12 * k,
+        }
+    }
+
+    #[test]
+    fn flushes_accumulate_fieldwise() {
+        let (a, mut b) = (delta(1), delta(100));
+        b.kicks = 0;
+        let c = Counters::new();
+        c.add(&a);
+        c.add(&b);
+        assert_eq!(c.snapshot(), a + b);
+    }
+
+    #[test]
+    fn zero_flush_is_a_no_op() {
+        let c = Counters::new();
+        c.add(&Stats::new());
+        assert_eq!(c.snapshot(), Stats::new());
+        c.add(&delta(3));
+        c.add(&Stats::new());
+        assert_eq!(c.snapshot(), delta(3));
+    }
+
+    /// Asserts that `record` on a fresh block leaves the same snapshot
+    /// as flushing `op`, and that the snapshot is `op`.
+    fn assert_record_is_flush(record: impl Fn(&Counters), op: Stats) {
+        let (recorded, flushed) = (Counters::new(), Counters::new());
+        record(&recorded);
+        flushed.add(&op);
+        assert_eq!(recorded.snapshot(), flushed.snapshot());
+        assert_eq!(recorded.snapshot(), op);
+    }
+
+    #[test]
+    fn each_record_equals_flushing_its_one_op_stats() {
+        let one = OpCounters::one_call(5, 2);
+        let zero = Stats::new();
+        let inserts = Stats {
+            inserts: one,
+            ..zero
+        };
+        assert_record_is_flush(|c| c.record_insert(5, 2), inserts);
+        let lookups = Stats {
+            lookups: one,
+            ..zero
+        };
+        assert_record_is_flush(|c| c.record_lookup(5, 2), lookups);
+        let deletes = Stats {
+            deletes: one,
+            ..zero
+        };
+        assert_record_is_flush(|c| c.record_delete(5, 2), deletes);
+        assert_record_is_flush(|c| c.add_kicks(7), Stats { kicks: 7, ..zero });
+        let failed = Stats {
+            failed_inserts: 1,
+            ..zero
+        };
+        assert_record_is_flush(Counters::add_failed_insert, failed);
+        let hashes = Stats {
+            hash_computations: 3,
+            ..zero
+        };
+        assert_record_is_flush(|c| c.add_hashes(3), hashes);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The paper's Figure 8 reports the *average number of evicted fingerprints*
 //! per insertion (`E0`), and Section V compares hash-computation counts
 //! between VCF and CF. Every filter in the workspace therefore maintains a
-//! small set of cheap `u64` counters that the harness snapshots via
-//! [`Stats`].
+//! small set of `u64` counters ([`Counters`](crate::Counters), relaxed
+//! atomics) that the harness snapshots via [`Stats`].
 
 use core::fmt;
 use core::ops::{Add, AddAssign};
@@ -27,6 +27,16 @@ impl OpCounters {
             calls: 0,
             slot_probes: 0,
             bucket_accesses: 0,
+        }
+    }
+
+    /// The counters of one call that probed `slot_probes` slots across
+    /// `bucket_accesses` buckets.
+    pub const fn one_call(slot_probes: u64, bucket_accesses: u64) -> Self {
+        Self {
+            calls: 1,
+            slot_probes,
+            bucket_accesses,
         }
     }
 

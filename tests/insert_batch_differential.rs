@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use vertical_cuckoo_filters::baselines::CuckooFilter;
 use vertical_cuckoo_filters::traits::{Filter, FilterExt};
-use vertical_cuckoo_filters::vcf::{CuckooConfig, Dvcf, KVcf, VerticalCuckooFilter};
+use vertical_cuckoo_filters::vcf::{ConcurrentVcf, CuckooConfig, Dvcf, KVcf, VerticalCuckooFilter};
 
 fn config() -> CuckooConfig {
     CuckooConfig::new(1 << 6).with_seed(0xbead)
@@ -147,6 +147,9 @@ fn family() -> Vec<(&'static str, MakeFilter)> {
         ("DVCF", |c| Box::new(Dvcf::with_r(c, 0.5).unwrap())),
         ("KVCF", |c| {
             Box::new(KVcf::new(c.with_fingerprint_bits(16), 6).unwrap())
+        }),
+        ("ConcurrentVCF", |c| {
+            Box::new(ConcurrentVcf::new(c).unwrap())
         }),
     ]
 }
