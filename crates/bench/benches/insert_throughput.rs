@@ -4,8 +4,8 @@
 //! 95 % (the insertion-intensive regime where VCF's extra candidates pay
 //! off) — plus an `insert/batch` group that pits the pipelined
 //! [`Filter::insert_batch`] path (hash + prefetch a window up front)
-//! against the plain serial loop on the same key set, for the sequential
-//! filters and for the lock-free `ConcurrentVcf` the server runs.
+//! against the plain serial loop on the same key set. Both cover the
+//! sequential filters and the lock-free `ConcurrentVcf` the server runs.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use vcf_baselines::{BloomConfig, BloomFilter, CuckooFilter, DaryCuckooFilter};
@@ -101,6 +101,9 @@ fn insert_benches(c: &mut Criterion) {
         });
         bench_fill(c, group, "DCF", fraction, || {
             DaryCuckooFilter::new(config()).unwrap()
+        });
+        bench_fill(c, group, "ConcurrentVCF", fraction, || {
+            ConcurrentVcf::new(config()).unwrap()
         });
         bench_fill(c, group, "BF", fraction, || {
             BloomFilter::new(BloomConfig::for_items(1 << BENCH_SLOTS_LOG2, 5e-4)).unwrap()

@@ -7,7 +7,7 @@ use vcf_baselines::{
     BloomConfig, BloomFilter, CuckooFilter, DaryCuckooFilter, QuotientFilter, VacuumFilter,
 };
 use vcf_bench::{bench_keys, BENCH_SLOTS_LOG2, LOADED_FRACTION};
-use vcf_core::{CuckooConfig, Dvcf, KVcf, VerticalCuckooFilter};
+use vcf_core::{ConcurrentVcf, CuckooConfig, Dvcf, KVcf, VerticalCuckooFilter};
 use vcf_traits::Filter;
 
 fn config() -> CuckooConfig {
@@ -50,8 +50,8 @@ fn bench_lookups<F: Filter>(c: &mut Criterion, label: &str, filter: F) {
 }
 
 /// Slot count for the batch benches. 2^24 slots make a ~32 MiB
-/// fingerprint table — past the cache hierarchy — so the early-touch
-/// pass in `contains_batch` has real misses to overlap. The
+/// fingerprint table — past the cache hierarchy — so the prefetch
+/// window in `contains_batch` has real misses to overlap. The
 /// single-lookup benches above keep the smaller, cache-resident table.
 const BATCH_SLOTS_LOG2: u32 = 24;
 
@@ -140,6 +140,11 @@ fn lookup_benches(c: &mut Criterion) {
         c,
         "8-VCF",
         KVcf::new(batch_config().with_fingerprint_bits(16), 8).unwrap(),
+    );
+    bench_batch(
+        c,
+        "ConcurrentVCF",
+        ConcurrentVcf::new(batch_config()).unwrap(),
     );
     bench_batch(
         c,

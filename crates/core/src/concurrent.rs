@@ -22,9 +22,14 @@
 //! * **Delete** locks the candidate buckets (ascending order) so it can
 //!   never race a relocation of the same fingerprint into removing two
 //!   copies (or zero).
-//! * **Batches** (`insert_batch`, `delete_batch`) prefetch a window of
-//!   keys' candidate buckets, then run each key through the same
-//!   per-key body as the single-key op, and publish their counters once.
+//! * **Batches** (`insert_batch`, `contains_batch`, `delete_batch`)
+//!   prefetch a window of keys' candidate buckets, then run each key
+//!   through the same per-key body as the single-key op, and publish
+//!   their counters once.
+//!
+//! Insert, lookup and delete visit the candidates in the paper's order,
+//! `B1`, `B1⊕o1`, `B1⊕o2`, `B1⊕o1⊕o2` (Algorithms 1–3), repeats
+//! skipped. Ascending order is kept only where stripes are locked.
 //!
 //! The seqlocks are *striped*: bucket `i` is guarded by stripe
 //! `i & (stripes − 1)`, one stripe per [`BUCKETS_PER_STRIPE`] buckets.
@@ -48,6 +53,7 @@
 
 use crate::bitmask::MaskPair;
 use crate::config::CuckooConfig;
+use crate::cuckoo::WINDOW;
 use crate::key;
 use crate::vertical::{Candidates, VerticalParams};
 use rand::rngs::SmallRng;
@@ -63,11 +69,6 @@ use vcf_traits::{BuildError, ConcurrentFilter, Counters, Filter, InsertError, Op
 /// an insert can relocate in total.
 const MAX_PATH: usize = 5;
 
-/// Keys hashed, and their candidate buckets prefetched, ahead of the
-/// first placement or delete of a batch window — the same depth as the
-/// sequential engine's insert pipeline.
-const WINDOW: usize = 16;
-
 /// Optimistic lookup retries before falling back to locking the
 /// candidate buckets.
 const CONTAINS_RETRIES: usize = 8;
@@ -80,6 +81,25 @@ const BUCKETS_PER_STRIPE: usize = 64;
 /// per [`BUCKETS_PER_STRIPE`] buckets, at least one.
 fn stripe_count(buckets: usize) -> usize {
     (buckets / BUCKETS_PER_STRIPE).max(1)
+}
+
+/// The entries of `indices` in their given order, repeats dropped; the
+/// first `len` entries of the returned array are valid. Over
+/// `Candidates::buckets` that is Algorithm 1's first-fit order `B1`,
+/// `B1⊕o1`, `B1⊕o2`, `B1⊕o1⊕o2`; over sorted stripes, the lock order.
+fn distinct(indices: [usize; 4]) -> ([usize; 4], usize) {
+    // No bucket or stripe index is `usize::MAX`, so it marks a free entry.
+    let mut out = [usize::MAX; 4];
+    let mut len = 0;
+    for index in indices {
+        if !out.contains(&index) {
+            if let Some(entry) = out.get_mut(len) {
+                *entry = index;
+            }
+            len += 1;
+        }
+    }
+    (out, len)
 }
 
 /// One hop of a relocation chain: `(bucket, slot, fingerprint)` — the
@@ -292,27 +312,29 @@ impl ConcurrentVcf {
         bucket & self.stripe_mask
     }
 
-    /// The distinct stripes guarding `cands`, ascending — the canonical
-    /// lock acquisition order for multi-bucket critical sections.
-    fn candidate_stripes(&self, cands: &Candidates) -> ([usize; 4], usize) {
-        Self::distinct_sorted(cands.buckets.map(|bucket| self.stripe_of(bucket)))
+    /// The seqlock version word of `bucket`'s stripe.
+    #[inline]
+    fn version(&self, bucket: usize) -> &AtomicU32 {
+        debug_assert!(self.stripe_of(bucket) < self.stripes.len());
+        &self.stripes[self.stripe_of(bucket)]
     }
 
-    /// `indices` in ascending order with duplicates dropped; the first
-    /// `len` entries of the returned array are valid.
-    fn distinct_sorted(indices: [usize; 4]) -> ([usize; 4], usize) {
-        let mut sorted = indices;
+    /// Runs `section` holding the seqlock stripes of every candidate
+    /// bucket, taken in ascending stripe order, each stripe once — the
+    /// global order every multi-stripe critical section uses.
+    fn locked<T>(&self, cands: &Candidates, section: impl FnOnce() -> T) -> T {
+        let mut sorted = cands.buckets.map(|bucket| self.stripe_of(bucket));
         sorted.sort_unstable();
-        let mut out = [usize::MAX; 4];
-        debug_assert!(sorted.len() <= out.len(), "at most 4 candidate buckets");
-        let mut len = 0;
-        for &b in &sorted {
-            if len == 0 || out[len - 1] != b {
-                out[len] = b;
-                len += 1;
-            }
+        let (stripes, len) = distinct(sorted);
+        let stripes = &stripes[..len];
+        for &stripe in stripes {
+            self.lock(stripe);
         }
-        (out, len)
+        let out = section();
+        for &stripe in stripes.iter().rev() {
+            self.unlock(stripe);
+        }
+        out
     }
 
     // ---- striped seqlock ----------------------------------------------
@@ -382,16 +404,34 @@ impl ConcurrentVcf {
         self.unlock(lo);
     }
 
-    // ---- batching -----------------------------------------------------
+    // ---- per-op plumbing ----------------------------------------------
+
+    /// Runs `op` on `item`'s derived key, then publishes its counters.
+    #[inline]
+    fn run_one<T>(&self, item: &[u8], op: impl FnOnce(u32, &Candidates, &mut Stats) -> T) -> T {
+        let (fingerprint, b1) = self.key_of(item);
+        let cands = self.candidates_of(fingerprint, b1);
+        let mut stats = Stats::new();
+        let out = op(fingerprint, &cands, &mut stats);
+        self.counters.add(&stats);
+        out
+    }
 
     /// Hashes `items` a window of [`WINDOW`] at a time, prefetching every
     /// candidate bucket of the window before `op` runs on its first key,
-    /// then runs `op` on each key in input order. The prefetch is only a
-    /// hint: `op` re-reads every word it decides on under its own CAS or
-    /// seqlock protocol, so a line that a concurrent writer changed in
-    /// between costs a miss, never a wrong answer.
+    /// then runs `op` — the single-key op's body — on each key in input
+    /// order, and publishes the batch's counters once. The prefetch is
+    /// only a hint: `op` re-reads every word it decides on under its own
+    /// CAS or seqlock protocol, so a line that a concurrent writer
+    /// changed in between costs a miss, never a wrong answer.
     #[inline]
-    fn for_each_prefetched(&self, items: &[&[u8]], mut op: impl FnMut(u32, &Candidates)) {
+    fn for_each_prefetched<T>(
+        &self,
+        items: &[&[u8]],
+        mut op: impl FnMut(u32, &Candidates, &mut Stats) -> T,
+    ) -> Vec<T> {
+        let mut out = Vec::with_capacity(items.len());
+        let mut stats = Stats::new();
         let mut window = Vec::with_capacity(WINDOW.min(items.len()));
         for chunk in items.chunks(WINDOW) {
             window.clear();
@@ -404,9 +444,11 @@ impl ConcurrentVcf {
                 window.push((fingerprint, cands));
             }
             for (fingerprint, cands) in &window {
-                op(*fingerprint, cands);
+                out.push(op(*fingerprint, cands, &mut stats));
             }
         }
+        self.counters.add(&stats);
+        out
     }
 
     // ---- insert -------------------------------------------------------
@@ -419,51 +461,44 @@ impl ConcurrentVcf {
     /// Returns [`InsertError::Full`] when `max_kicks` relocation attempts
     /// cannot free a candidate slot.
     pub fn insert(&self, item: &[u8]) -> Result<(), InsertError> {
-        let (fingerprint, b1) = self.key_of(item);
-        let cands = self.candidates_of(fingerprint, b1);
-        let mut stats = Stats::new();
-        stats.hash_computations = 2; // hash(x) + hash(η)
-        let result = self.insert_key(fingerprint, &cands, &mut stats);
-        self.counters.add(&stats);
-        result
+        self.run_one(item, |fingerprint, cands, stats| {
+            self.insert_key(fingerprint, cands, stats)
+        })
     }
 
     // lint: hot-path
-    /// Batched insert: prefetches a window of keys' candidate buckets,
-    /// then places each key in input order through the same walk as
-    /// [`insert`](Self::insert). Results, table words, the relocation
-    /// PRNG streams and [`stats`](Self::stats) match the serial loop bit
-    /// for bit; the counters are published once, at the end.
+    /// Batched insert: places each key in input order through the same
+    /// walk as [`insert`](Self::insert). Results, table words, the
+    /// relocation PRNG streams and [`stats`](Self::stats) match the
+    /// serial loop bit for bit.
     pub fn insert_batch(&self, items: &[&[u8]]) -> Vec<Result<(), InsertError>> {
-        let mut out = Vec::with_capacity(items.len());
-        let mut stats = Stats::new();
-        stats.hash_computations = 2 * items.len() as u64;
-        self.for_each_prefetched(items, |fingerprint, cands| {
-            out.push(self.insert_key(fingerprint, cands, &mut stats));
-        });
-        self.counters.add(&stats);
-        out
+        self.for_each_prefetched(items, |fingerprint, cands, stats| {
+            self.insert_key(fingerprint, cands, stats)
+        })
     }
 
-    /// Places one derived key: CAS-claim a free candidate lane, else run
-    /// the relocation walk. Counts into `stats`, which the caller flushes.
+    /// Places one derived key: CAS-claim a free lane in the first
+    /// candidate bucket, in candidate order, that has one (Algorithm 1's
+    /// first fit), else run the relocation walk. Counts into `stats`.
     fn insert_key(
         &self,
         fingerprint: u32,
         cands: &Candidates,
         stats: &mut Stats,
     ) -> Result<(), InsertError> {
-        let (distinct, distinct_len) = Self::distinct_sorted(cands.buckets);
+        stats.hash_computations += 2; // hash(x) + hash(η)
+        let (buckets, len) = distinct(cands.buckets);
+        let buckets = &buckets[..len];
         let slots = self.table.slots_per_bucket() as u64;
 
         let mut probes = 0u64;
         let mut kicks = 0u64;
         let mut rng: Option<SmallRng> = None;
         let result = 'walk: loop {
-            // Fast path: CAS-claim an empty lane in any candidate bucket.
+            // Fast path: CAS-claim an empty lane in a candidate bucket.
             // Re-run each round — concurrent deletes may free slots while
             // we are path-hunting.
-            for &bucket in &distinct[..distinct_len] {
+            for &bucket in buckets {
                 probes += slots;
                 if self.table.try_claim(bucket, fingerprint).is_some() {
                     break 'walk Ok(());
@@ -612,73 +647,59 @@ impl ConcurrentVcf {
 
     // ---- lookup -------------------------------------------------------
 
+    /// Probes `buckets` in order (Algorithm 2). Returns whether one holds
+    /// `fingerprint`, and the slots probed.
+    fn probe(&self, fingerprint: u32, buckets: &[usize]) -> (bool, u64) {
+        let slots = self.table.slots_per_bucket() as u64;
+        let mut probes = 0u64;
+        for &bucket in buckets {
+            probes += slots;
+            if self.table.contains(bucket, fingerprint) {
+                return (true, probes);
+            }
+        }
+        (false, probes)
+    }
+
     /// Membership probe for an already-derived key. Wait-free on hits;
     /// misses validate the candidate buckets' seqlock stripes so a
     /// relocation hopping the fingerprint "behind" the probe order cannot
     /// manufacture a false negative. Counts into `stats`.
     fn contains_key(&self, fingerprint: u32, cands: &Candidates, stats: &mut Stats) -> bool {
-        let (distinct, distinct_len) = Self::distinct_sorted(cands.buckets);
-        let distinct = &distinct[..distinct_len];
-        let (stripes, stripe_len) = self.candidate_stripes(cands);
-        let stripes = &stripes[..stripe_len];
-        debug_assert!(stripes.iter().all(|&s| s < self.stripes.len()));
-        let slots = self.table.slots_per_bucket() as u64;
-        let accesses = distinct_len as u64;
-
+        let (buckets, len) = distinct(cands.buckets);
+        let buckets = &buckets[..len];
         let mut before = [0u32; 4];
         for _attempt in 0..CONTAINS_RETRIES {
-            let mut stable = true;
-            for (i, &stripe) in stripes.iter().enumerate() {
-                let v = self.stripes[stripe].load(Ordering::Acquire);
-                before[i] = v;
-                stable &= v & 1 == 0;
+            // Versions in candidate order, unsorted: no lock is taken, so
+            // a stripe shared by two candidates is just read twice.
+            for (version, &bucket) in before.iter_mut().zip(&cands.buckets) {
+                *version = self.version(bucket).load(Ordering::Acquire);
             }
-            let mut probes = 0u64;
-            for &bucket in distinct {
-                probes += slots;
-                if self.table.contains(bucket, fingerprint) {
-                    stats.lookups += OpCounters::one_call(probes, accesses);
-                    return true;
-                }
-            }
-            // Miss: only definitive if no candidate stripe was locked or
-            // bumped while we probed. The fence orders the probe loads
+            let (found, probes) = self.probe(fingerprint, buckets);
+            // A miss is only definitive if no candidate stripe was locked
+            // or bumped while we probed. The fence orders the probe loads
             // before the version re-reads.
             fence(Ordering::Acquire);
-            if stable
-                && stripes
+            if found
+                || before
                     .iter()
-                    .enumerate()
-                    // Validation re-read paired with the fence(Acquire)
-                    // above (Boehm's seqlock pattern, checked structurally
-                    // by the seqlock-protocol rule).
-                    .all(|(i, &stripe)| self.stripes[stripe].load(Ordering::Relaxed) == before[i])
+                    .zip(&cands.buckets)
+                    .all(|(&version, &bucket)| {
+                        // Validation re-read paired with the fence(Acquire)
+                        // above (Boehm's seqlock pattern, checked structurally
+                        // by the seqlock-protocol rule).
+                        version & 1 == 0 && self.version(bucket).load(Ordering::Relaxed) == version
+                    })
             {
-                stats.lookups += OpCounters::one_call(probes, accesses);
-                return false;
+                stats.lookups += OpCounters::one_call(probes, len as u64);
+                return found;
             }
             std::hint::spin_loop();
         }
 
-        // Heavy contention on these buckets: take the locks (ascending
-        // stripe order — same global order as relocation and delete) and
-        // decide.
-        for &stripe in stripes {
-            self.lock(stripe);
-        }
-        let mut probes = 0u64;
-        let mut found = false;
-        for &bucket in distinct {
-            probes += slots;
-            if self.table.contains(bucket, fingerprint) {
-                found = true;
-                break;
-            }
-        }
-        for &stripe in stripes.iter().rev() {
-            self.unlock(stripe);
-        }
-        stats.lookups += OpCounters::one_call(probes, accesses);
+        // Heavy contention on these buckets: decide under their locks.
+        let (found, probes) = self.locked(cands, || self.probe(fingerprint, buckets));
+        stats.lookups += OpCounters::one_call(probes, len as u64);
         found
     }
 
@@ -686,36 +707,18 @@ impl ConcurrentVcf {
     /// Tests membership of `item`. No false negatives for items whose
     /// insertion happened-before this call.
     pub fn contains(&self, item: &[u8]) -> bool {
-        let (fingerprint, b1) = self.key_of(item);
-        let cands = self.candidates_of(fingerprint, b1);
-        let mut stats = Stats::new();
-        let found = self.contains_key(fingerprint, &cands, &mut stats);
-        self.counters.add(&stats);
-        found
+        self.run_one(item, |fingerprint, cands, stats| {
+            self.contains_key(fingerprint, cands, stats)
+        })
     }
 
     // lint: hot-path
-    /// Batched lookup: hashes every item up front, touching candidate
-    /// buckets to overlap cache misses (same scheme as the sequential
-    /// VCF), then probes each item optimistically. The counters are
-    /// published once, at the end.
+    /// Batched lookup: probes each key through the same optimistic read
+    /// as [`contains`](Self::contains), behind the batch prefetch window.
     pub fn contains_batch(&self, items: &[&[u8]]) -> Vec<bool> {
-        let mut keys = Vec::with_capacity(items.len());
-        for item in items {
-            let (fingerprint, b1) = self.key_of(item);
-            let cands = self.candidates_of(fingerprint, b1);
-            for bucket in cands.iter() {
-                self.table.touch_bucket(bucket);
-            }
-            keys.push((fingerprint, cands));
-        }
-        let mut stats = Stats::new();
-        let found = keys
-            .iter()
-            .map(|(fingerprint, cands)| self.contains_key(*fingerprint, cands, &mut stats))
-            .collect();
-        self.counters.add(&stats);
-        found
+        self.for_each_prefetched(items, |fingerprint, cands, stats| {
+            self.contains_key(fingerprint, cands, stats)
+        })
     }
 
     // ---- delete -------------------------------------------------------
@@ -723,59 +726,44 @@ impl ConcurrentVcf {
     // lint: hot-path
     /// Removes one copy of `item`; returns `true` if a copy was removed.
     pub fn delete(&self, item: &[u8]) -> bool {
-        let (fingerprint, b1) = self.key_of(item);
-        let cands = self.candidates_of(fingerprint, b1);
-        let mut stats = Stats::new();
-        stats.hash_computations = 2;
-        let removed = self.delete_key(fingerprint, &cands, &mut stats);
-        self.counters.add(&stats);
-        removed
+        self.run_one(item, |fingerprint, cands, stats| {
+            self.delete_key(fingerprint, cands, stats)
+        })
     }
 
     // lint: hot-path
-    /// Batched delete: prefetches a window of keys' candidate buckets,
-    /// then deletes each key in input order through the same body as
-    /// [`delete`](Self::delete), so a key repeated in the batch removes
-    /// one copy per occurrence. The counters are published once.
+    /// Batched delete: deletes each key in input order through the same
+    /// body as [`delete`](Self::delete), so a key repeated in the batch
+    /// removes one copy per occurrence.
     pub fn delete_batch(&self, items: &[&[u8]]) -> Vec<bool> {
-        let mut out = Vec::with_capacity(items.len());
-        let mut stats = Stats::new();
-        stats.hash_computations = 2 * items.len() as u64;
-        self.for_each_prefetched(items, |fingerprint, cands| {
-            out.push(self.delete_key(fingerprint, cands, &mut stats));
-        });
-        self.counters.add(&stats);
-        out
+        self.for_each_prefetched(items, |fingerprint, cands, stats| {
+            self.delete_key(fingerprint, cands, stats)
+        })
     }
 
-    /// Removes one copy of a derived key. Takes the (≤ 4) distinct
-    /// candidate stripe locks in ascending order. By Theorem 1 closure any
-    /// concurrent relocation of this fingerprint moves it between two of
-    /// *these* buckets, so holding their stripes gives an exact answer:
-    /// exactly one copy removed if any exists. Counts into `stats`.
+    /// Removes one copy of a derived key from the first candidate, in
+    /// candidate order, holding it (Algorithm 3), under every candidate
+    /// stripe. By Theorem 1 closure any concurrent relocation of this
+    /// fingerprint moves it between two of *these* buckets, so holding
+    /// their stripes gives an exact answer: exactly one copy removed if
+    /// any exists. Counts into `stats`.
     fn delete_key(&self, fingerprint: u32, cands: &Candidates, stats: &mut Stats) -> bool {
-        let (distinct, distinct_len) = Self::distinct_sorted(cands.buckets);
-        let distinct = &distinct[..distinct_len];
-        let (stripes, stripe_len) = self.candidate_stripes(cands);
-        let stripes = &stripes[..stripe_len];
-
-        for &stripe in stripes {
-            self.lock(stripe);
-        }
-        let mut probes = 0u64;
-        let mut removed = false;
-        for &bucket in distinct {
-            probes += self.table.slots_per_bucket() as u64;
-            if let Some(slot) = self.table.find(bucket, fingerprint) {
-                removed = self.table.replace_expect(bucket, slot, fingerprint, 0);
-                debug_assert!(removed, "found lane changed under candidate locks");
-                break;
+        stats.hash_computations += 2; // hash(x) + hash(η)
+        let (buckets, len) = distinct(cands.buckets);
+        let slots = self.table.slots_per_bucket() as u64;
+        let (removed, probes) = self.locked(cands, || {
+            let mut probes = 0u64;
+            for &bucket in &buckets[..len] {
+                probes += slots;
+                if let Some(slot) = self.table.find(bucket, fingerprint) {
+                    let removed = self.table.replace_expect(bucket, slot, fingerprint, 0);
+                    debug_assert!(removed, "found lane changed under candidate locks");
+                    return (removed, probes);
+                }
             }
-        }
-        for &stripe in stripes.iter().rev() {
-            self.unlock(stripe);
-        }
-        stats.deletes += OpCounters::one_call(probes, distinct_len as u64);
+            (false, probes)
+        });
+        stats.deletes += OpCounters::one_call(probes, len as u64);
         removed
     }
 
@@ -976,8 +964,7 @@ mod tests {
                 let (fingerprint, b1) = f.key_of(&key(i));
                 let hfp = f.hash.hash_fingerprint(fingerprint);
                 let cands = f.params.candidates(b1, hfp);
-                let (stripes, len) = f.candidate_stripes(&cands);
-                let stripes = &stripes[..len];
+                let stripes = cands.buckets.map(|bucket| f.stripe_of(bucket));
                 let (o1, o2, of) = f.params.offsets(hfp);
                 for o in [0, o1, o2, of] {
                     let s = f.stripe_of(b1) ^ (o as usize & f.stripe_mask);
@@ -992,6 +979,64 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn first_fit_follows_candidate_order() {
+        let f = ConcurrentVcf::new(CuckooConfig::new(1 << 10).with_seed(1)).unwrap();
+        // A key whose B1 is not its lowest candidate, and whose B1⊕o1 is
+        // not the lowest of the other three: ascending order would pick
+        // neither.
+        let (fingerprint, cands) = (0..)
+            .map(|i| {
+                let (fingerprint, b1) = f.key_of(&key(i));
+                (fingerprint, f.candidates_of(fingerprint, b1))
+            })
+            .find(|(_, c)| {
+                let [b1, b2, b3, b4] = c.buckets;
+                c.distinct() == 4 && b1 > b2.min(b3).min(b4) && b2 > b3.min(b4)
+            })
+            .unwrap();
+        let holders = |f: &ConcurrentVcf| -> Vec<usize> {
+            cands
+                .iter()
+                .filter(|&b| f.table.contains(b, fingerprint))
+                .collect()
+        };
+
+        f.insert_key(fingerprint, &cands, &mut Stats::new())
+            .unwrap();
+        assert_eq!(holders(&f), [cands.buckets[0]], "empty table: B1 first");
+
+        assert!(f.delete_key(fingerprint, &cands, &mut Stats::new()));
+        let filler = if fingerprint == 1 { 2 } else { 1 };
+        for _ in 0..f.slots_per_bucket() {
+            f.table.try_claim(cands.buckets[0], filler).unwrap();
+        }
+        f.insert_key(fingerprint, &cands, &mut Stats::new())
+            .unwrap();
+        assert_eq!(holders(&f), [cands.buckets[1]], "B1 full: B1⊕o1 next");
+    }
+
+    #[test]
+    fn fill_kicks_track_the_sequential_vcf() {
+        // Same geometry, seed and keys: with the same first-fit order the
+        // lock-free walk kicks about as often as the sequential one.
+        for seed in 1..=3u64 {
+            let config = CuckooConfig::with_total_slots(1 << 14).with_seed(seed);
+            let concurrent = ConcurrentVcf::new(config).unwrap();
+            let mut sequential = crate::VerticalCuckooFilter::new(config).unwrap();
+            for i in 0..(concurrent.capacity() as u64 * 95 / 100) {
+                let k = key(seed << 32 | i);
+                concurrent.insert(&k).unwrap();
+                Filter::insert(&mut sequential, &k).unwrap();
+            }
+            let (c, s) = (concurrent.stats().kicks, Filter::stats(&sequential).kicks);
+            assert!(
+                c as f64 <= 1.25 * s as f64,
+                "seed {seed}: {c} kicks against the sequential VCF's {s}"
+            );
         }
     }
 

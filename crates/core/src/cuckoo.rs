@@ -15,6 +15,11 @@ use vcf_hash::HashKind;
 use vcf_table::SlotTable;
 use vcf_traits::{Counters, Filter, InsertError, Stats};
 
+/// Keys hashed, and their candidate buckets prefetched, ahead of the
+/// first probe or placement of a batch window — in every batch pipeline
+/// of the crate. 16 keys × 2–8 candidates cover DRAM latency.
+pub(crate) const WINDOW: usize = 16;
+
 /// How one filter variant derives candidate buckets.
 ///
 /// A policy's one proof obligation is closure (Theorems 1 and 2): from
@@ -297,6 +302,21 @@ impl<P: CandidatePolicy> CuckooCore<P> {
         self.policy.candidate(key.b1, key.hfp, key.fp, e)
     }
 
+    /// Hashes `chunk` into `window`, issuing a software prefetch for
+    /// every candidate bucket as each key is derived, so the window's
+    /// bucket misses overlap instead of serialising hash → miss → hash.
+    #[inline]
+    fn prefetch_window(&self, chunk: &[&[u8]], window: &mut Vec<Key>) {
+        window.clear();
+        for item in chunk {
+            let key = self.key(item);
+            for e in 0..self.policy.candidate_count(key.fp) {
+                self.table.prefetch_bucket(self.candidate(key, e).0);
+            }
+            window.push(key);
+        }
+    }
+
     /// Places a hashed item and records the insert.
     fn insert_key(&mut self, key: Key) -> Result<(), InsertError> {
         let (result, t) = self
@@ -324,23 +344,15 @@ impl<P: CandidatePolicy> Filter for CuckooCore<P> {
     }
 
     // lint: hot-path
-    /// Pipelined Algorithm 1: hashes a window of items up front, issuing
-    /// a software prefetch for every candidate bucket as each key is
-    /// derived, then places them in item order through the serial path.
+    /// Pipelined Algorithm 1: hashes and prefetches a window of items
+    /// ([`Self::prefetch_window`]), then places them in item order
+    /// through the serial path.
     fn insert_batch(&mut self, items: &[&[u8]]) -> Vec<Result<(), InsertError>> {
-        const WINDOW: usize = 16;
         let mut out = Vec::with_capacity(items.len());
         let mut window = Vec::with_capacity(WINDOW);
         for chunk in items.chunks(WINDOW) {
-            window.clear();
-            for item in chunk {
-                let key = self.key(item);
-                self.counters.add_hashes(2);
-                for e in 0..self.policy.candidate_count(key.fp) {
-                    self.table.prefetch_bucket(self.candidate(key, e).0);
-                }
-                window.push(key);
-            }
+            self.prefetch_window(chunk, &mut window);
+            self.counters.add_hashes(2 * chunk.len() as u64);
             for &key in &window {
                 out.push(self.insert_key(key));
             }
@@ -366,28 +378,24 @@ impl<P: CandidatePolicy> Filter for CuckooCore<P> {
     }
 
     // lint: hot-path
-    /// Batched Algorithm 2: hashes every item and touches its candidate
-    /// buckets first, then probes against warm lines; every candidate is
-    /// charged whatever the probe finds.
+    /// Batched Algorithm 2: probes each window of items
+    /// ([`Self::prefetch_window`]) against lines already in flight;
+    /// every candidate is charged whatever the probe finds.
     fn contains_batch(&self, items: &[&[u8]]) -> Vec<bool> {
-        let mut keys = Vec::with_capacity(items.len());
-        for item in items {
-            let key = self.key(item);
-            for e in 0..self.policy.candidate_count(key.fp) {
-                self.table.touch_bucket(self.candidate(key, e).0);
-            }
-            keys.push(key);
-        }
         let slots = self.table.slots_per_bucket() as u64;
         let mut out = Vec::with_capacity(items.len());
-        for &key in &keys {
-            let k = self.policy.candidate_count(key.fp);
-            let found = (0..k).any(|e| {
-                let (bucket, entry) = self.candidate(key, e);
-                self.table.contains(bucket, entry)
-            });
-            self.counters.record_lookup(k as u64 * slots, k as u64);
-            out.push(found);
+        let mut window = Vec::with_capacity(WINDOW);
+        for chunk in items.chunks(WINDOW) {
+            self.prefetch_window(chunk, &mut window);
+            for &key in &window {
+                let k = self.policy.candidate_count(key.fp);
+                let found = (0..k).any(|e| {
+                    let (bucket, entry) = self.candidate(key, e);
+                    self.table.contains(bucket, entry)
+                });
+                self.counters.record_lookup(k as u64 * slots, k as u64);
+                out.push(found);
+            }
         }
         out
     }

@@ -67,7 +67,7 @@
 
 use crate::bitmask::MaskPair;
 use crate::config::CuckooConfig;
-use crate::cuckoo::{CandidatePolicy, Key, Tally, Walk};
+use crate::cuckoo::{CandidatePolicy, Key, Tally, Walk, WINDOW};
 use crate::key;
 use crate::vertical::VerticalParams;
 use vcf_hash::HashKind;
@@ -522,6 +522,27 @@ impl ScalableVcf {
         result
     }
 
+    /// Hashes `chunk` into `window`, issuing a software prefetch for each
+    /// key's candidate buckets in every segment of `segments`.
+    #[inline]
+    fn prefetch_window<'a>(
+        &self,
+        chunk: &[&[u8]],
+        segments: impl IntoIterator<Item = &'a Segment> + Clone,
+        window: &mut Vec<Key>,
+    ) {
+        window.clear();
+        for item in chunk {
+            let key = self.key_of(item);
+            for seg in segments.clone() {
+                for bucket in self.policy(seg.part_bits).buckets(key.b1, key.hfp) {
+                    seg.table.prefetch_bucket(bucket);
+                }
+            }
+            window.push(key);
+        }
+    }
+
     /// Probes the chain newest-first for `key` and records the lookup.
     fn lookup(&self, key: Key) -> bool {
         let mut probes = 0u64;
@@ -753,26 +774,16 @@ impl Filter for ScalableVcf {
     }
 
     // lint: hot-path
-    /// Pipelined insert: hashes a window of items up front, prefetching
-    /// each one's candidate buckets in the active segment, then places in
-    /// item order through the exact serial path (same PRNG consumption,
-    /// same growth/migration schedule).
+    /// Pipelined insert: hashes and prefetches a window of items against
+    /// the active segment, then places in item order through the exact
+    /// serial path (same PRNG consumption, same growth/migration
+    /// schedule).
     fn insert_batch(&mut self, items: &[&[u8]]) -> Vec<Result<(), InsertError>> {
-        const WINDOW: usize = 16;
         let mut out = Vec::with_capacity(items.len());
         let mut window = Vec::with_capacity(WINDOW);
         for chunk in items.chunks(WINDOW) {
-            window.clear();
-            for item in chunk {
-                let key = self.key_of(item);
-                self.counters.add_hashes(2);
-                if let Some(active) = self.segments.last() {
-                    for bucket in self.policy(active.part_bits).buckets(key.b1, key.hfp) {
-                        active.table.prefetch_bucket(bucket);
-                    }
-                }
-                window.push(key);
-            }
+            self.prefetch_window(chunk, self.segments.last(), &mut window);
+            self.counters.add_hashes(2 * chunk.len() as u64);
             for &key in &window {
                 out.push(self.insert_key(key));
             }
@@ -788,22 +799,18 @@ impl Filter for ScalableVcf {
     }
 
     // lint: hot-path
-    /// Two-pass batched lookup over the whole chain: hash every item and
-    /// early-touch its candidate buckets in *every* segment, then probe
-    /// newest-first against warm lines — the fixed-size filter's
-    /// prefetch pipeline extended with the segment fan-out.
+    /// Batched lookup over the whole chain: hashes and prefetches a
+    /// window of items against *every* segment, then probes each
+    /// newest-first — the fixed-size filter's pipeline extended with the
+    /// segment fan-out.
     fn contains_batch(&self, items: &[&[u8]]) -> Vec<bool> {
-        let mut keys = Vec::with_capacity(items.len());
-        for item in items {
-            let key = self.key_of(item);
-            for seg in &self.segments {
-                for bucket in self.policy(seg.part_bits).buckets(key.b1, key.hfp) {
-                    seg.table.touch_bucket(bucket);
-                }
-            }
-            keys.push(key);
+        let mut out = Vec::with_capacity(items.len());
+        let mut window = Vec::with_capacity(WINDOW);
+        for chunk in items.chunks(WINDOW) {
+            self.prefetch_window(chunk, &self.segments, &mut window);
+            out.extend(window.iter().map(|&key| self.lookup(key)));
         }
-        keys.iter().map(|&key| self.lookup(key)).collect()
+        out
     }
 
     // lint: hot-path

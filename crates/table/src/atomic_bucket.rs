@@ -355,18 +355,8 @@ impl AtomicFingerprintTable {
         self.engine.load_bucket(&self.words, bucket)
     }
 
-    /// Pulls `bucket`'s cache line toward the core — the batching layer's
-    /// early-touch hook.
-    #[inline]
-    pub fn touch_bucket(&self, bucket: usize) {
-        debug_assert!(bucket < self.buckets, "bucket {bucket} out of range");
-        std::hint::black_box(
-            self.words[bucket * self.engine.engine().words_per_bucket()].load(Ordering::Relaxed),
-        );
-    }
-
-    /// Issues a software prefetch for `bucket`'s words — the batched
-    /// writers' warm-up hook. It loads nothing, so it neither stalls nor
+    /// Issues a software prefetch for `bucket`'s words — the batch
+    /// pipelines' warm-up hook. It loads nothing, so it neither stalls nor
     /// takes part in any atomic protocol: the operation that later reads
     /// the bucket re-loads every word it decides on.
     #[inline]

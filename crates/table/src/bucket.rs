@@ -247,10 +247,10 @@ impl BucketEngine {
     /// consecutive `u64`s (≤ 64 bytes at the widest supported geometry).
     /// Buckets start on word — not cache-line — boundaries, so a wide
     /// bucket can straddle two lines; hinting the first and last word
-    /// covers both. Unlike `touch_bucket` on the tables, this performs no
-    /// load at all: it never stalls the pipeline, which is what the
-    /// batched insert path wants when it warms a window of candidate
-    /// buckets ahead of placing fingerprints.
+    /// covers both. It performs no load at all: it never stalls the
+    /// pipeline, which is what the batch paths want when they warm a
+    /// window of candidate buckets ahead of probing or placing
+    /// fingerprints.
     #[inline]
     pub fn prefetch_bucket(&self, words: &[u64], bucket: usize) {
         let base = bucket * self.words_per_bucket;

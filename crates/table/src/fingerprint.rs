@@ -129,26 +129,12 @@ impl FingerprintTable {
     }
 
     /// Issues a software prefetch for `bucket`'s storage words — the
-    /// insert pipeline's warm-up hook. Unlike
-    /// [`touch_bucket`](Self::touch_bucket) this performs no load, so it
-    /// cannot stall even when the line is cold.
+    /// batch pipelines' warm-up hook. It performs no load, so it cannot
+    /// stall even when the line is cold.
     #[inline]
     pub fn prefetch_bucket(&self, bucket: usize) {
         debug_assert!(bucket < self.buckets, "bucket {bucket} out of range");
         self.engine.prefetch_bucket(&self.words, bucket);
-    }
-
-    /// Pulls `bucket`'s cache line toward the core with a single word
-    /// load (kept alive by `black_box`) — the batching layer's
-    /// early-touch hook, much cheaper than materialising the bucket.
-    #[inline]
-    pub fn touch_bucket(&self, bucket: usize) {
-        debug_assert!(bucket < self.buckets, "bucket {bucket} out of range");
-        // `.get()` rather than indexing: a touch hint must never be able
-        // to panic, even on a garbage bucket id in release builds.
-        if let Some(&word) = self.words.get(bucket * self.engine.words_per_bucket()) {
-            std::hint::black_box(word);
-        }
     }
 
     /// Reads the fingerprint in `(bucket, slot)`; `0` means empty.

@@ -169,8 +169,7 @@ impl MarkedTable {
         })
     }
 
-    /// Loads `bucket`'s words once for repeated kernel probes (also the
-    /// batching layer's early-touch hook).
+    /// Loads `bucket`'s words once for repeated kernel probes.
     #[inline]
     pub fn read_bucket(&self, bucket: usize) -> BucketWords {
         debug_assert!(bucket < self.buckets, "bucket {bucket} out of range");
@@ -178,22 +177,12 @@ impl MarkedTable {
     }
 
     /// Issues a software prefetch for `bucket`'s storage words — the
-    /// insert pipeline's warm-up hook. Unlike
-    /// [`touch_bucket`](Self::touch_bucket) this performs no load, so it
-    /// cannot stall even when the line is cold.
+    /// batch pipelines' warm-up hook. It performs no load, so it cannot
+    /// stall even when the line is cold.
     #[inline]
     pub fn prefetch_bucket(&self, bucket: usize) {
         debug_assert!(bucket < self.buckets, "bucket {bucket} out of range");
         self.engine.prefetch_bucket(&self.words, bucket);
-    }
-
-    /// Pulls `bucket`'s cache line toward the core with a single word
-    /// load (kept alive by `black_box`) — the batching layer's
-    /// early-touch hook, much cheaper than materialising the bucket.
-    #[inline]
-    pub fn touch_bucket(&self, bucket: usize) {
-        debug_assert!(bucket < self.buckets, "bucket {bucket} out of range");
-        std::hint::black_box(self.words[bucket * self.engine.words_per_bucket()]);
     }
 
     /// Whether `entry` could have been stored at all (non-zero

@@ -51,8 +51,6 @@ pub trait SlotTable: Clone + Debug {
     fn remove_one(&mut self, bucket: usize, entry: Self::Entry) -> bool;
     /// Software prefetch of `bucket`'s words (no load).
     fn prefetch_bucket(&self, bucket: usize);
-    /// Early touch of `bucket`'s first word.
-    fn touch_bucket(&self, bucket: usize);
 }
 
 /// Forwards the layout-independent methods to the inherent ones.
@@ -87,9 +85,6 @@ macro_rules! forward_geometry {
         }
         fn prefetch_bucket(&self, bucket: usize) {
             <$table>::prefetch_bucket(self, bucket);
-        }
-        fn touch_bucket(&self, bucket: usize) {
-            <$table>::touch_bucket(self, bucket);
         }
     };
 }

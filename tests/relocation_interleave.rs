@@ -2,10 +2,10 @@
 //! section.
 //!
 //! The workspace is offline, so instead of the `loom` crate this uses a
-//! shim: the relocation protocol (`ConcurrentVcf::move_one`) and the
-//! candidate-locked delete are re-expressed as explicit step state
-//! machines over a real [`AtomicFingerprintTable`] and a real striped
-//! seqlock word array. A driver then enumerates thousands of schedules —
+//! shim: the relocation protocol (`ConcurrentVcf::move_one`), the
+//! candidate-locked delete and the optimistic lookup are re-expressed as
+//! explicit step state machines over a real [`AtomicFingerprintTable`]
+//! and a real striped seqlock word array. A driver then enumerates thousands of schedules —
 //! a bit string chooses which actor advances at each step, falling back
 //! to round-robin once the string is exhausted — and asserts protocol
 //! invariants after *every* step of *every* schedule:
@@ -19,7 +19,9 @@
 //!   locking discipline is followed (the state machine panics if it is
 //!   ever entered — the two-bucket lock must make `replace_expect`
 //!   infallible after validation),
-//! * no schedule deadlocks.
+//! * no schedule deadlocks,
+//! * a lookup never reports a validated miss for a fingerprint that is
+//!   present throughout.
 //!
 //! Every scenario runs under three stripings of the four buckets: one
 //! stripe per bucket, two buckets per stripe, and one stripe for all.
@@ -61,6 +63,11 @@ impl Locks {
         stripes.sort_unstable();
         stripes.dedup();
         stripes
+    }
+
+    /// The version word of `bucket`'s stripe.
+    fn version(&self, bucket: usize) -> &AtomicU32 {
+        &self.0[self.stripe_of(bucket)]
     }
 
     /// One lock-acquisition attempt (a single schedule step). Returns
@@ -111,6 +118,24 @@ enum Actor {
         acquired: usize,
         outcome: Outcome,
     },
+    /// Optimistic lookup of `fp`, as `ConcurrentVcf::contains`: load the
+    /// stripe versions of `candidates` in candidate order (unsorted, a
+    /// shared stripe read twice), probe in the same order, and on a miss
+    /// re-read every version. A changed or odd version retries; after
+    /// `retries` failed validations the lookup decides under the
+    /// candidate stripes, taken ascending. `Won` is a hit, `Lost` a miss.
+    Reader {
+        candidates: Vec<usize>,
+        fp: u32,
+        retries: usize,
+        before: Vec<u32>,
+        state: u8,
+        /// Position inside the current phase (version, probe, lock).
+        at: usize,
+        /// Failed validations so far.
+        failed: usize,
+        outcome: Outcome,
+    },
 }
 
 impl Actor {
@@ -138,16 +163,32 @@ impl Actor {
         }
     }
 
+    fn reader(candidates: Vec<usize>, fp: u32, retries: usize) -> Self {
+        Actor::Reader {
+            before: vec![0; candidates.len()],
+            candidates,
+            fp,
+            retries,
+            state: 0,
+            at: 0,
+            failed: 0,
+            outcome: Outcome::Pending,
+        }
+    }
+
     fn done(&self) -> bool {
         match self {
             Actor::Relocator { state, .. } => *state == 9,
             Actor::Deleter { state, .. } => *state == 3,
+            Actor::Reader { state, .. } => *state == 6,
         }
     }
 
     fn outcome(&self) -> Outcome {
         match self {
-            Actor::Relocator { outcome, .. } | Actor::Deleter { outcome, .. } => *outcome,
+            Actor::Relocator { outcome, .. }
+            | Actor::Deleter { outcome, .. }
+            | Actor::Reader { outcome, .. } => *outcome,
         }
     }
 
@@ -266,6 +307,87 @@ impl Actor {
                 }
                 _ => unreachable!("stepping a finished deleter"),
             },
+            Actor::Reader {
+                candidates,
+                fp,
+                retries,
+                before,
+                state,
+                at,
+                failed,
+                outcome,
+            } => match *state {
+                // Load one stripe version, in candidate order.
+                0 => {
+                    before[*at] = locks.version(candidates[*at]).load(Ordering::Acquire);
+                    *at += 1;
+                    if *at == candidates.len() {
+                        *at = 0;
+                        *state = 1;
+                    }
+                }
+                // Probe one bucket, in candidate order; a hit needs no
+                // validation.
+                1 => {
+                    if table.contains(candidates[*at], *fp) {
+                        *outcome = Outcome::Won;
+                        *state = 6;
+                    } else {
+                        *at += 1;
+                        if *at == candidates.len() {
+                            *at = 0;
+                            *state = 2;
+                        }
+                    }
+                }
+                // Re-read one version: all unchanged and even makes the
+                // miss definitive; anything else retries or falls back.
+                2 => {
+                    let now = locks.version(candidates[*at]).load(Ordering::Acquire);
+                    *at += 1;
+                    if now != before[*at - 1] || now & 1 == 1 {
+                        *failed += 1;
+                        *at = 0;
+                        *state = if *failed == *retries { 3 } else { 0 };
+                    } else if *at == candidates.len() {
+                        *outcome = Outcome::Lost;
+                        *state = 6;
+                    }
+                }
+                // Fallback: acquire the candidate stripes, ascending.
+                3 => {
+                    let stripes = locks.stripes_of(candidates);
+                    if locks.try_lock(stripes[*at]) {
+                        *at += 1;
+                        if *at == stripes.len() {
+                            *state = 4;
+                        }
+                    }
+                }
+                // Decide under every candidate stripe.
+                4 => {
+                    let hit = candidates.iter().any(|&b| table.contains(b, *fp));
+                    *outcome = if hit { Outcome::Won } else { Outcome::Lost };
+                    *state = 5;
+                }
+                // Release in reverse.
+                5 => {
+                    *at -= 1;
+                    locks.unlock(locks.stripes_of(candidates)[*at]);
+                    if *at == 0 {
+                        *state = 6;
+                    }
+                }
+                _ => unreachable!("stepping a finished reader"),
+            },
+        }
+    }
+
+    /// Failed validations of a reader so far.
+    fn failed_validations(&self) -> usize {
+        match self {
+            Actor::Reader { failed, .. } => *failed,
+            _ => 0,
         }
     }
 }
@@ -320,12 +442,23 @@ fn build_table(victims: &[(usize, u32)], fill: &[(usize, usize)]) -> AtomicFinge
 /// the step invariants for `tracked` fingerprints throughout, and
 /// returns the actors' outcomes.
 fn run_schedule(
-    mut actors: [Actor; 2],
+    actors: [Actor; 2],
     table: &AtomicFingerprintTable,
     locks: &Locks,
     tracked: &[u32],
     seed: u64,
 ) -> [Outcome; 2] {
+    drive(actors, table, locks, tracked, seed).map(|actor| actor.outcome())
+}
+
+/// [`run_schedule`], returning the finished actors.
+fn drive(
+    mut actors: [Actor; 2],
+    table: &AtomicFingerprintTable,
+    locks: &Locks,
+    tracked: &[u32],
+    seed: u64,
+) -> [Actor; 2] {
     let mut step = 0u32;
     while !(actors[0].done() && actors[1].done()) {
         assert!(step < 1_000, "schedule failed to terminate (deadlock?)");
@@ -359,7 +492,7 @@ fn run_schedule(
             "occupancy counter out of sync with physical lanes"
         );
     }
-    [actors[0].outcome(), actors[1].outcome()]
+    actors
 }
 
 const SCHEDULES: u64 = 1 << 14;
@@ -560,5 +693,47 @@ fn disjoint_relocator_and_deleter_share_stripes() {
             !locks.any_locked(),
             "stripes {stripes}, seed {seed}: lock leaked"
         );
+    }
+}
+
+/// A lookup races a relocator moving its own fingerprint from bucket 1 to
+/// bucket 0, both candidates of the lookup. Probing 0 before 1 is the
+/// "moved behind the probe" race: the probe can miss both copies. Its
+/// validation must catch every such miss, so the lookup always hits.
+/// With one allowed failed validation the catch goes to the locked
+/// fallback, with two to an optimistic retry first; the races must
+/// happen for both. Probing 1 before 0 cannot miss at all.
+#[test]
+fn optimistic_reader_never_validates_a_miss_under_relocation() {
+    const VICTIM: u32 = 0x51;
+    for (candidates, races) in [(vec![0, 1, 2, 3], true), (vec![1, 0, 3, 2], false)] {
+        for retries in [1, 2] {
+            let mut caught = 0;
+            for (stripes, seed) in schedules() {
+                let table = build_table(&[(1, VICTIM)], &[]);
+                let locks = Locks::new(stripes);
+                let actors = [
+                    Actor::relocator(1, 0, VICTIM, 0, 0xAA),
+                    Actor::reader(candidates.clone(), VICTIM, retries),
+                ];
+                let [relocator, reader] = drive(actors, &table, &locks, &[VICTIM, 0xAA], seed);
+                let at = format!(
+                    "order {candidates:?}, retries {retries}, stripes {stripes}, seed {seed}"
+                );
+                assert_eq!(
+                    reader.outcome(),
+                    Outcome::Won,
+                    "{at}: validated a miss of a present fingerprint"
+                );
+                assert_eq!(relocator.outcome(), Outcome::Won, "{at}: the hop failed");
+                assert!(!locks.any_locked(), "{at}: lock leaked");
+                caught += usize::from(reader.failed_validations() > 0);
+            }
+            assert_eq!(
+                caught > 0,
+                races,
+                "order {candidates:?}, retries {retries}: {caught} schedules failed validation"
+            );
+        }
     }
 }
