@@ -14,19 +14,13 @@
 //! * [`CountingBloomFilter`] — 4-bit-counter CBF (Table I row 2).
 //! * [`DlCountingBloomFilter`] — the d-left counting Bloom filter of
 //!   Bonomi et al. (related work, Section II-A).
-//! * [`QuotientFilter`] — the quotient filter of Bender et al. (related
-//!   work, Section I).
-//! * [`AdaptiveCuckooFilter`] — Mitzenmacher et al.'s ACF (related work
-//!   [10]): detected false positives are adapted away at run time.
-//! * [`VacuumFilter`] — Wang et al.'s chunked filter (related work [14]):
+//! * [`VacuumFilter`] — Wang et al.'s chunked filter (related work \[14\]):
 //!   two-candidate cuckoo hashing over non-power-of-two tables.
 //!
 //! CF, DCF and VF are re-exported from `vcf-core`, where they run as
 //! candidate policies on the same engine as the VCF family: they share
 //! its insert, eviction walk with rollback, lookup, delete and counters,
-//! so a head-to-head measurement isolates the candidate rule. The
-//! adaptive CF keeps its own walk: its slots carry full keys, which it
-//! rehashes on eviction.
+//! so a head-to-head measurement isolates the candidate rule.
 //!
 //! # Examples
 //!
@@ -44,15 +38,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod adaptive;
 mod bloom;
 mod counting_bloom;
 mod dlcbf;
-mod quotient;
 
-pub use adaptive::AdaptiveCuckooFilter;
 pub use bloom::{BloomConfig, BloomFilter};
 pub use counting_bloom::CountingBloomFilter;
 pub use dlcbf::{DlCbfConfig, DlCountingBloomFilter};
-pub use quotient::QuotientFilter;
 pub use vcf_core::{base_d, CuckooFilter, DaryCuckooFilter, VacuumFilter};

@@ -3,9 +3,7 @@
 //! 95 % load.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use vcf_baselines::{
-    BloomConfig, BloomFilter, CuckooFilter, DaryCuckooFilter, QuotientFilter, VacuumFilter,
-};
+use vcf_baselines::{BloomConfig, BloomFilter, CuckooFilter, DaryCuckooFilter, VacuumFilter};
 use vcf_bench::{bench_keys, BENCH_SLOTS_LOG2, LOADED_FRACTION};
 use vcf_core::{ConcurrentVcf, CuckooConfig, Dvcf, KVcf, VerticalCuckooFilter};
 use vcf_traits::Filter;
@@ -125,7 +123,6 @@ fn lookup_benches(c: &mut Criterion) {
         "BF",
         BloomFilter::new(BloomConfig::for_items(1 << BENCH_SLOTS_LOG2, 5e-4)).unwrap(),
     );
-    bench_lookups(c, "QF", QuotientFilter::new(BENCH_SLOTS_LOG2, 13).unwrap());
     bench_lookups(
         c,
         "VF",

@@ -109,10 +109,11 @@ type PathStep = (usize, usize, u32);
 /// A thread-safe Vertical Cuckoo Filter: every operation takes `&self`,
 /// so the filter can sit in an `Arc` and be hammered from many threads.
 ///
-/// Functionally it matches [`VerticalCuckooFilter`]: the same vertical
-/// candidate derivation (`B1`, `B1⊕o1`, `B1⊕o2`, `B1⊕o1⊕o2`), the same
-/// no-false-negative and multiset-deletion guarantees, and the same FPR
-/// model. The differences are operational:
+/// Functionally it matches
+/// [`VerticalCuckooFilter`](crate::VerticalCuckooFilter): the same
+/// vertical candidate derivation (`B1`, `B1⊕o1`, `B1⊕o2`, `B1⊕o1⊕o2`),
+/// the same no-false-negative and multiset-deletion guarantees, and the
+/// same FPR model. The differences are operational:
 ///
 /// * `insert`/`delete`/`contains` take `&self` ([`ConcurrentFilter`]).
 /// * The relocation walk is path-based (libcuckoo-style): it first finds

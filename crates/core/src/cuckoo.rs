@@ -345,7 +345,7 @@ impl<P: CandidatePolicy> Filter for CuckooCore<P> {
 
     // lint: hot-path
     /// Pipelined Algorithm 1: hashes and prefetches a window of items
-    /// ([`Self::prefetch_window`]), then places them in item order
+    /// (`prefetch_window`), then places them in item order
     /// through the serial path.
     fn insert_batch(&mut self, items: &[&[u8]]) -> Vec<Result<(), InsertError>> {
         let mut out = Vec::with_capacity(items.len());
@@ -379,7 +379,7 @@ impl<P: CandidatePolicy> Filter for CuckooCore<P> {
 
     // lint: hot-path
     /// Batched Algorithm 2: probes each window of items
-    /// ([`Self::prefetch_window`]) against lines already in flight;
+    /// (`prefetch_window`) against lines already in flight;
     /// every candidate is charged whatever the probe finds.
     fn contains_batch(&self, items: &[&[u8]]) -> Vec<bool> {
         let slots = self.table.slots_per_bucket() as u64;

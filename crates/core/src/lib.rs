@@ -18,7 +18,7 @@
 //! * [`DaryCuckooFilter`] — the D-ary cuckoo filter (Equ. 2, `d = 4`),
 //!   the paper's DCF baseline, over [`base_d`] digit arithmetic.
 //! * [`VacuumFilter`] — the chunked two-candidate Vacuum filter
-//!   (related work [14]) over non-power-of-two tables.
+//!   (related work \[14\]) over non-power-of-two tables.
 //!
 //! All six are aliases of one engine, [`CuckooCore`], over a
 //! [`CandidatePolicy`] that derives the candidate buckets; insertion,
@@ -70,7 +70,6 @@ mod config;
 mod cuckoo;
 mod dcf;
 mod dvcf;
-mod dynamic;
 mod kvcf;
 mod scalable;
 mod sharded;
@@ -89,7 +88,6 @@ pub use config::CuckooConfig;
 pub use cuckoo::{CandidatePolicy, CuckooCore};
 pub use dcf::{DaryCuckooFilter, DcfPolicy};
 pub use dvcf::{Dvcf, DvcfPolicy};
-pub use dynamic::DynamicVcf;
 pub use kvcf::{KVcf, KVcfPolicy};
 pub use scalable::{MigrationStats, ScalableVcf};
 pub use sharded::{ShardRouter, ShardedConcurrentVcf, ShardedScalableVcf, ShardedVcf};

@@ -3,7 +3,7 @@
 //!
 //! A production filter serving unpredictable traffic cannot be pre-sized,
 //! and the classic dynamic-filter answer — chain homogeneous filters and
-//! consult every link ([`DynamicVcf`](crate::DynamicVcf)) — lets the
+//! consult every link (the Dynamic Cuckoo Filter of Chen et al.) — lets the
 //! lookup fan-out grow without bound. [`ScalableVcf`] instead keeps a
 //! *short* chain of exponentially-sized segments and continuously drains
 //! the older ones into the newest, so the chain length stays O(1) in
@@ -204,7 +204,7 @@ enum DrainOutcome {
 
 /// An elastic Vertical Cuckoo Filter that grows and shrinks online.
 ///
-/// See the [module docs](self) for the segment geometry and migration
+/// DESIGN.md §12 describes the segment geometry and migration
 /// protocol. In steady state the chain is one segment and every
 /// operation behaves like a fixed-size [`VerticalCuckooFilter`]
 /// (modulo the partition confinement); during a growth phase lookups and

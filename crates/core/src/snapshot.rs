@@ -106,12 +106,12 @@ impl From<BuildError> for SnapshotError {
     }
 }
 
+fn invalid(reason: String) -> SnapshotError {
+    SnapshotError::BadConfig(BuildError::InvalidConfig { reason })
+}
+
 fn hash_kind_from(code: u8) -> Result<HashKind, SnapshotError> {
-    HashKind::from_code(code).ok_or_else(|| {
-        SnapshotError::BadConfig(BuildError::InvalidConfig {
-            reason: format!("unknown hash kind code {code}"),
-        })
-    })
+    HashKind::from_code(code).ok_or_else(|| invalid(format!("unknown hash kind code {code}")))
 }
 
 struct Reader<'a> {
@@ -143,6 +143,16 @@ impl<'a> Reader<'a> {
     fn u64(&mut self) -> Result<u64, SnapshotError> {
         Ok(u64::from_le_bytes(self.take::<8>()?))
     }
+
+    /// Fails with [`SnapshotError::Truncated`] unless at least `len`
+    /// bytes remain, so a header's claimed geometry is checked against
+    /// the buffer before anything is allocated from it.
+    fn require(&self, len: Option<usize>) -> Result<(), SnapshotError> {
+        match len {
+            Some(len) if self.buffer.len().saturating_sub(self.at) >= len => Ok(()),
+            _ => Err(SnapshotError::Truncated),
+        }
+    }
 }
 
 impl VerticalCuckooFilter {
@@ -168,6 +178,7 @@ impl VerticalCuckooFilter {
         out
     }
 
+    // lint: hot-path
     // lint: wire-format(decode)
     /// Restores a filter from [`VerticalCuckooFilter::to_snapshot`] bytes.
     ///
@@ -199,6 +210,13 @@ impl VerticalCuckooFilter {
             seed,
         };
         config.validate()?;
+        // The slot data is exactly `buckets × slots × 4` bytes; check it is
+        // all there before the table is built.
+        reader.require(
+            buckets
+                .checked_mul(slots_per_bucket)
+                .and_then(|words| words.checked_mul(4)),
+        )?;
         let masks = MaskPair::with_ones(mask_ones, fingerprint_bits)?;
         let label = if mask_ones == fingerprint_bits / 2 {
             "VCF".to_owned()
@@ -211,6 +229,11 @@ impl VerticalCuckooFilter {
         for bucket in 0..buckets {
             for slot in 0..slots_per_bucket {
                 let value = reader.u32()?;
+                if u64::from(value) >> fingerprint_bits != 0 {
+                    return Err(invalid(format!(
+                        "bucket {bucket} slot {slot} is wider than {fingerprint_bits} bits"
+                    )));
+                }
                 if value != 0 {
                     counted += 1;
                 }
@@ -258,6 +281,7 @@ impl KVcf {
         out
     }
 
+    // lint: hot-path
     // lint: wire-format(decode)
     /// Restores a k-VCF from [`KVcf::to_snapshot`] bytes.
     ///
@@ -289,28 +313,30 @@ impl KVcf {
             seed,
         };
         config.validate()?;
+        // One count byte per bucket, even when the bucket is empty.
+        reader.require(Some(buckets))?;
         let mut filter = KVcf::new(config, k)?;
 
         let mut counted = 0u64;
         for bucket in 0..buckets {
             let count = usize::from(reader.u8()?);
             if count > slots_per_bucket {
-                return Err(SnapshotError::BadConfig(BuildError::InvalidConfig {
-                    reason: format!("bucket {bucket} claims {count} entries"),
-                }));
+                return Err(invalid(format!("bucket {bucket} claims {count} entries")));
             }
             for _ in 0..count {
                 let fingerprint = reader.u32()?;
                 let mark = reader.u8()?;
-                if fingerprint == 0 || u32::from(mark) >= k as u32 {
-                    return Err(SnapshotError::BadConfig(BuildError::InvalidConfig {
-                        reason: format!("bucket {bucket} holds an invalid entry"),
-                    }));
+                if fingerprint == 0
+                    || u64::from(fingerprint) >> fingerprint_bits != 0
+                    || u32::from(mark) >= k as u32
+                {
+                    return Err(invalid(format!("bucket {bucket} holds an invalid entry")));
                 }
+                // `count <= slots_per_bucket` leaves room for every entry.
                 filter
                     .table_mut()
                     .try_insert(bucket, MarkedEntry { fingerprint, mark })
-                    .expect("count <= slots guarantees room");
+                    .ok_or_else(|| invalid(format!("bucket {bucket} overflows")))?;
                 counted += 1;
             }
         }
@@ -391,6 +417,7 @@ impl FuseRecord {
         out
     }
 
+    // lint: hot-path
     // lint: wire-format(decode)
     /// Restores a record from [`FuseRecord::encode`] bytes.
     ///
@@ -413,17 +440,15 @@ impl FuseRecord {
         let recorded = reader.u64()?;
 
         if lane_bits != 8 && lane_bits != 16 {
-            return Err(SnapshotError::BadConfig(BuildError::InvalidConfig {
-                reason: format!("unsupported fuse lane width {lane_bits} bits"),
-            }));
+            return Err(invalid(format!(
+                "unsupported fuse lane width {lane_bits} bits"
+            )));
         }
         if array_length > 0 && (!segment_length.is_power_of_two() || segment_count_length == 0) {
-            return Err(SnapshotError::BadConfig(BuildError::InvalidConfig {
-                reason: format!(
-                    "inconsistent fuse geometry: segment_length {segment_length}, \
-                     segment_count_length {segment_count_length}"
-                ),
-            }));
+            return Err(invalid(format!(
+                "inconsistent fuse geometry: segment_length {segment_length}, \
+                 segment_count_length {segment_count_length}"
+            )));
         }
         let lane_bytes = array_length as usize * (lane_bits as usize / 8);
         let end = reader
@@ -556,6 +581,49 @@ mod tests {
         assert_eq!(bytes.len(), 36 + (1 << 6) * 4 * 4);
     }
 
+    /// Overwrites the header's `buckets` field (bytes 4..12, shared by
+    /// `VCF1` and `VCK1`) and cuts the buffer to `len` bytes.
+    fn claim_buckets(mut bytes: Vec<u8>, buckets: u64, len: usize) -> Vec<u8> {
+        bytes[4..12].copy_from_slice(&buckets.to_le_bytes());
+        bytes.truncate(len);
+        bytes
+    }
+
+    #[test]
+    fn rejects_bucket_counts_the_payload_cannot_hold() {
+        let bytes = VerticalCuckooFilter::new(CuckooConfig::new(1 << 6))
+            .unwrap()
+            .to_snapshot();
+        // 2^40 buckets would allocate 8 TiB; 2^62 overflows the byte count.
+        for buckets in [1u64 << 40, 1 << 62] {
+            assert_eq!(
+                VerticalCuckooFilter::from_snapshot(&claim_buckets(bytes.clone(), buckets, 40))
+                    .unwrap_err(),
+                SnapshotError::Truncated,
+                "{buckets} buckets"
+            );
+        }
+        // One bucket short of the payload is truncated too.
+        assert_eq!(
+            VerticalCuckooFilter::from_snapshot(&bytes[..bytes.len() - 16]).unwrap_err(),
+            SnapshotError::Truncated
+        );
+    }
+
+    #[test]
+    fn rejects_slot_words_wider_than_the_fingerprint() {
+        let mut bytes = VerticalCuckooFilter::new(CuckooConfig::new(1 << 6))
+            .unwrap()
+            .to_snapshot();
+        // Record one stored fingerprint whose word has bit 14 set.
+        bytes[28..36].copy_from_slice(&1u64.to_le_bytes());
+        bytes[36..40].copy_from_slice(&(1u32 << 14).to_le_bytes());
+        assert!(matches!(
+            VerticalCuckooFilter::from_snapshot(&bytes),
+            Err(SnapshotError::BadConfig(_))
+        ));
+    }
+
     fn loaded_kvcf() -> KVcf {
         let config = CuckooConfig::new(1 << 7)
             .with_fingerprint_bits(16)
@@ -603,6 +671,33 @@ mod tests {
         assert!(matches!(
             VerticalCuckooFilter::from_snapshot(&kvcf_bytes),
             Err(SnapshotError::BadMagic { .. })
+        ));
+    }
+
+    #[test]
+    fn kvcf_rejects_bucket_counts_the_payload_cannot_hold() {
+        let bytes = loaded_kvcf().to_snapshot();
+        assert_eq!(
+            KVcf::from_snapshot(&claim_buckets(bytes, 1 << 40, 40)).unwrap_err(),
+            SnapshotError::Truncated
+        );
+    }
+
+    #[test]
+    fn kvcf_rejects_fingerprints_wider_than_the_table() {
+        let empty = KVcf::new(CuckooConfig::new(1 << 6).with_fingerprint_bits(16), 6)
+            .unwrap()
+            .to_snapshot();
+        // Bucket 0 claims one entry whose fingerprint has bit 16 set.
+        let mut bytes = empty[..36].to_vec();
+        bytes[28..36].copy_from_slice(&1u64.to_le_bytes());
+        bytes.push(1);
+        bytes.extend_from_slice(&(1u32 << 16).to_le_bytes());
+        bytes.push(0);
+        bytes.extend_from_slice(&empty[37..]);
+        assert!(matches!(
+            KVcf::from_snapshot(&bytes),
+            Err(SnapshotError::BadConfig(_))
         ));
     }
 

@@ -1,7 +1,7 @@
 //! Edge-case integration tests for the VCF family: extreme geometries,
 //! boundary parameters, and cross-variant consistency.
 
-use vcf_core::{CuckooConfig, Dvcf, DynamicVcf, KVcf, MaskPair, VerticalCuckooFilter};
+use vcf_core::{CuckooConfig, Dvcf, KVcf, MaskPair, VerticalCuckooFilter};
 use vcf_hash::HashKind;
 use vcf_traits::{Filter, FilterExt};
 
@@ -205,20 +205,6 @@ fn clone_is_independent() {
     assert!(b.contains(b"shared"), "clone must not share storage");
     assert!(b.contains(b"only-in-b"));
     assert!(!a.contains(b"only-in-b"));
-}
-
-#[test]
-fn dynamic_vcf_with_tiny_links_and_single_max_link() {
-    let template = CuckooConfig::new(4).with_seed(12);
-    let mut f = DynamicVcf::with_max_links(template, 1).unwrap();
-    let mut saw_full = false;
-    for i in 0..64u64 {
-        if f.insert(&key(i)).is_err() {
-            saw_full = true;
-        }
-    }
-    assert!(saw_full, "single tiny link must fill");
-    assert_eq!(f.links(), 1);
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Table I — the cross-family comparison: space, insertion throughput
 //! (relative to a plain Bloom filter) and deletion support for BF, CBF,
-//! dlCBF, CF, 4-ary CF (DCF) and VCF.
+//! dlCBF, CF, 4-ary CF (DCF) and VCF, plus the Vacuum filter (VF) as an
+//! extension row.
 //!
 //! Expected shape: CF/VCF below 1× BF space at equal false-positive
 //! target with high load; CBF ≈ 4× BF; cuckoo-family insertion throughput
@@ -13,8 +14,7 @@ use crate::runner::fill;
 use crate::timing::Summary;
 use crate::ExpOptions;
 use vcf_baselines::{
-    BloomConfig, BloomFilter, CountingBloomFilter, DlCbfConfig, DlCountingBloomFilter,
-    QuotientFilter, VacuumFilter,
+    BloomConfig, BloomFilter, CountingBloomFilter, DlCbfConfig, DlCountingBloomFilter, VacuumFilter,
 };
 use vcf_core::CuckooConfig;
 use vcf_traits::Filter;
@@ -78,11 +78,7 @@ pub fn run(opts: &ExpOptions) -> Report {
             ));
         }
 
-        // Extension rows: the related-work structures the paper cites.
-        let mut qf = QuotientFilter::for_items(n, target_fpr).expect("qf geometry");
-        let qf_bits = qf.slots() * (qf.remainder_bits() as usize + 3);
-        outcomes.push(("QF".into(), measure(&mut qf, &keys, qf_bits)));
-
+        // Extension row: the related-work Vacuum filter the paper cites.
         let mut vf = VacuumFilter::for_items(n, 14, seed).expect("vf geometry");
         let vf_bits = vf.capacity() * 14;
         outcomes.push(("VF".into(), measure(&mut vf, &keys, vf_bits)));
@@ -162,7 +158,7 @@ mod tests {
         };
         let report = run(&opts);
         let table = &report.tables()[0];
-        assert_eq!(table.len(), 8, "BF, CBF, dlCBF, CF, DCF, VCF, QF, VF");
+        assert_eq!(table.len(), 7, "BF, CBF, dlCBF, CF, DCF, VCF, VF");
         let csv = table.to_csv();
         // Exactly one structure (BF) lacks deletion.
         assert_eq!(

@@ -10,7 +10,7 @@
 //! shard→thread ownership never changes.)
 //!
 //! A connection thread routes each frame's keys by
-//! [`ShardEngine::shard_of`], dispatches one [`Job`] per involved
+//! [`ShardEngine::shard_of`], dispatches one `Job` per involved
 //! worker, then reassembles the per-key outcome bits into the response
 //! bitmap in input order. Per-key ordering is preserved end to end:
 //! a key always maps to one shard and hence one worker, workers keep a

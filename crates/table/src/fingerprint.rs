@@ -150,9 +150,9 @@ impl FingerprintTable {
     /// # Panics
     ///
     /// Debug builds panic if the fingerprint does not fit in `f` bits or
-    /// the position is out of range; release builds truncate (callers
-    /// derive fingerprints through [`Self::fingerprint_of`]-style
-    /// masking, so an oversized value is an internal bug, not input).
+    /// the position is out of range; release builds truncate. Callers
+    /// mask fingerprints to `f` bits and snapshot decoders reject wider
+    /// words, so an oversized value is an internal bug, not input.
     pub fn set(&mut self, bucket: usize, slot: usize, fingerprint: u32) {
         debug_assert!(
             u64::from(fingerprint) <= self.engine.lane_mask(),

@@ -92,9 +92,9 @@ impl PackedTable {
     ///
     /// In debug builds, panics if `index` is out of bounds. Release
     /// builds skip the explicit check on this hot path — callers (the
-    /// bucketed tables, quotient filter, counting Bloom) validate
-    /// geometry at construction — but an out-of-range read beyond the
-    /// final word still panics via the slice bounds check.
+    /// bucketed tables, counting Bloom) validate geometry at
+    /// construction — but an out-of-range read beyond the final word
+    /// still panics via the slice bounds check.
     #[inline]
     pub fn get(&self, index: usize) -> u64 {
         debug_assert!(

@@ -18,8 +18,8 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`vcf`] | `vcf-core` | VCF, IVCF, DVCF, k-VCF, sharded/dynamic variants, snapshots |
-//! | [`baselines`] | `vcf-baselines` | CF, DCF, Bloom, CBF, dlCBF, quotient filter |
+//! | [`vcf`] | `vcf-core` | VCF, IVCF, DVCF, k-VCF, sharded variants, snapshots |
+//! | [`baselines`] | `vcf-baselines` | CF, DCF, Vacuum filter, Bloom, CBF, dlCBF |
 //! | [`table`] | `vcf-table` | bit-packed slot storage |
 //! | [`hash`] | `vcf-hash` | FNV, MurmurHash3, DJB2, SplitMix64 |
 //! | [`traits`] | `vcf-traits` | the `Filter` trait, errors, stats |
@@ -52,7 +52,7 @@ pub mod prelude {
     pub use crate::{TieredVcf, TieredVcf16};
     pub use vcf_baselines::CuckooFilter;
     pub use vcf_core::{
-        ConcurrentVcf, CuckooConfig, Dvcf, DynamicVcf, KVcf, ScalableVcf, ShardedConcurrentVcf,
+        ConcurrentVcf, CuckooConfig, Dvcf, KVcf, ScalableVcf, ShardedConcurrentVcf,
         ShardedScalableVcf, ShardedVcf, TieredFilter, VerticalCuckooFilter,
     };
     pub use vcf_hash::HashKind;

@@ -4,13 +4,12 @@
 
 use std::collections::HashMap;
 use vertical_cuckoo_filters::baselines::{
-    AdaptiveCuckooFilter, BloomConfig, CountingBloomFilter, CuckooFilter, DaryCuckooFilter,
-    DlCbfConfig, DlCountingBloomFilter, QuotientFilter, VacuumFilter,
+    BloomConfig, CountingBloomFilter, CuckooFilter, DaryCuckooFilter, DlCbfConfig,
+    DlCountingBloomFilter, VacuumFilter,
 };
 use vertical_cuckoo_filters::traits::Filter;
 use vertical_cuckoo_filters::vcf::{
-    ConcurrentVcf, CuckooConfig, Dvcf, DynamicVcf, KVcf, ShardedConcurrentVcf, ShardedVcf,
-    VerticalCuckooFilter,
+    ConcurrentVcf, CuckooConfig, Dvcf, KVcf, ShardedConcurrentVcf, ShardedVcf, VerticalCuckooFilter,
 };
 use vertical_cuckoo_filters::workloads::KeyStream;
 
@@ -29,12 +28,9 @@ fn deletable_filters() -> Vec<Box<dyn Filter>> {
         Box::new(DaryCuckooFilter::new(config()).unwrap()),
         Box::new(CountingBloomFilter::new(BloomConfig::for_items(1024, 1e-3)).unwrap()),
         Box::new(DlCountingBloomFilter::new(DlCbfConfig::for_items(1024)).unwrap()),
-        Box::new(QuotientFilter::new(11, 12).unwrap()),
-        Box::new(DynamicVcf::new(CuckooConfig::new(1 << 6).with_seed(17)).unwrap()),
         Box::new(ShardedVcf::new(CuckooConfig::new(1 << 8).with_seed(17), 2).unwrap()),
         Box::new(ConcurrentVcf::new(config()).unwrap()),
         Box::new(ShardedConcurrentVcf::new(CuckooConfig::new(1 << 8).with_seed(17), 2).unwrap()),
-        Box::new(AdaptiveCuckooFilter::new(CuckooConfig::new(1 << 8).with_seed(17)).unwrap()),
         Box::new(VacuumFilter::new(192, 64, 4, 14, 500, 17).unwrap()),
     ]
 }

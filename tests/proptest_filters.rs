@@ -7,9 +7,9 @@
 
 use proptest::prelude::*;
 use std::collections::HashMap;
-use vertical_cuckoo_filters::baselines::{CuckooFilter, DaryCuckooFilter, QuotientFilter};
+use vertical_cuckoo_filters::baselines::{CuckooFilter, DaryCuckooFilter};
 use vertical_cuckoo_filters::traits::Filter;
-use vertical_cuckoo_filters::vcf::{CuckooConfig, Dvcf, DynamicVcf, KVcf, VerticalCuckooFilter};
+use vertical_cuckoo_filters::vcf::{CuckooConfig, Dvcf, KVcf, VerticalCuckooFilter};
 
 #[derive(Debug, Clone)]
 enum FilterOp {
@@ -117,18 +117,5 @@ proptest! {
     #[test]
     fn dcf_respects_oracle(ops in prop::collection::vec(op_strategy(), 1..400)) {
         check_against_oracle(Box::new(DaryCuckooFilter::new(config()).unwrap()), &ops);
-    }
-
-    #[test]
-    fn quotient_respects_oracle(ops in prop::collection::vec(op_strategy(), 1..400)) {
-        check_against_oracle(Box::new(QuotientFilter::new(10, 12).unwrap()), &ops);
-    }
-
-    #[test]
-    fn dynamic_vcf_respects_oracle(ops in prop::collection::vec(op_strategy(), 1..400)) {
-        check_against_oracle(
-            Box::new(DynamicVcf::new(CuckooConfig::new(1 << 5).with_seed(7)).unwrap()),
-            &ops,
-        );
     }
 }
