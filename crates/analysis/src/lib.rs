@@ -21,7 +21,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 /// Equ. 5 — probability that standard vertical hashing (balanced masks
 /// over an `f`-bit domain) yields four distinct candidate buckets:

@@ -36,7 +36,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 mod bloom;
 mod counting_bloom;

@@ -48,9 +48,11 @@ fn bench_lookups<F: Filter>(c: &mut Criterion, label: &str, filter: F) {
 }
 
 /// Slot count for the batch benches. 2^24 slots make a ~32 MiB
-/// fingerprint table — past the cache hierarchy — so the prefetch
-/// window in `contains_batch` has real misses to overlap. The
-/// single-lookup benches above keep the smaller, cache-resident table.
+/// fingerprint table: far past a 2 MiB L2, so the prefetch window in
+/// `contains_batch` has real misses to overlap, but small enough for a
+/// large shared L3 to hold it (LLC-resident, not DRAM-resident; that
+/// needs ~2^28 slots). The single-lookup benches above keep the
+/// smaller, cache-resident table.
 const BATCH_SLOTS_LOG2: u32 = 24;
 
 fn batch_config() -> CuckooConfig {

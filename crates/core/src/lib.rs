@@ -59,7 +59,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 /// Base-`d` digit-wise modular arithmetic behind DCF's Equ. 2.
 pub mod base_d;

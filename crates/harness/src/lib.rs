@@ -17,7 +17,6 @@
 //! records both.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod experiments;
 pub mod factory;

@@ -18,7 +18,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod djb2;
 pub mod fnv;

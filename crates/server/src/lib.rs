@@ -23,7 +23,6 @@
 //! backpressure model.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod codec;
 pub mod executor;

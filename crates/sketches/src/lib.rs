@@ -31,7 +31,6 @@
 //!   type behind `vcf-core`'s `TieredFilter`.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 mod bloom_vertical;
 mod count_min;

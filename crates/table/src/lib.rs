@@ -40,14 +40,9 @@
 //! # Ok::<(), vcf_traits::BuildError>(())
 //! ```
 
-// `deny` rather than `forbid`: the cfg-gated prefetch intrinsic in
-// `prefetch.rs` carries a scoped `#[allow(unsafe_code)]` item; everything
-// else in the crate still rejects `unsafe` at compile time.
-#![deny(unsafe_code)]
-// Any future `unsafe fn` must scope each unsafe operation in its own
-// block with its own SAFETY comment (also enforced by `vcf-xtask lint`).
-#![deny(unsafe_op_in_unsafe_fn)]
-#![warn(missing_docs)]
+// No `#![forbid(unsafe_code)]` here: the cfg-gated prefetch intrinsic in
+// `prefetch.rs` carries a scoped `#[allow(unsafe_code)]` item against the
+// workspace's `deny`; everything else in the crate still rejects `unsafe`.
 
 mod atomic_bucket;
 mod bucket;

@@ -28,7 +28,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 use core::fmt;
 

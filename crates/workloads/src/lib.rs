@@ -24,7 +24,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod churn;
 pub mod higgs;

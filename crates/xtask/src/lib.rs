@@ -1,11 +1,12 @@
 //! `vcf-xtask`: the workspace invariant linter.
 //!
 //! A dependency-free, source-level analysis that enforces the
-//! disciplines the compiler cannot: SAFETY justifications on unsafe
-//! code, atomic-ordering confinement, panic-free hot paths, Theorem-1
-//! coset arithmetic confinement, public-API documentation, crate
-//! unsafe-policy attributes, and TSan-suppression freshness. See
-//! `DESIGN.md` §10 for the rationale behind each rule.
+//! disciplines the compiler cannot: atomic-ordering confinement, the
+//! seqlock read protocol, panic-free hot paths, wire-format
+//! exhaustiveness, Theorem-1 coset arithmetic confinement, and
+//! TSan-suppression freshness. Documentation and unsafe-code policy are
+//! compiler lints in the root `[workspace.lints]`. See `DESIGN.md` §10
+//! for the rationale behind each rule.
 //!
 //! Run it as `cargo run -p vcf-xtask -- lint` (CI runs it as a
 //! required job). Violations can be locally waived with

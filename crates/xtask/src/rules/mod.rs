@@ -8,10 +8,7 @@
 //! the allowlist (and DESIGN.md §10) is updated in the same commit.
 
 pub mod atomics;
-pub mod crate_attrs;
-pub mod docs;
 pub mod panic_reach;
-pub mod safety;
 pub mod seqlock;
 pub mod suppressions;
 pub mod theorem1;
@@ -40,13 +37,6 @@ pub const SEQLOCK_MODULES: &[&str] = &["crates/core/src/concurrent.rs"];
 pub const THEOREM1_MODULES: &[&str] =
     &["crates/core/src/vertical.rs", "crates/core/src/bitmask.rs"];
 
-/// Crates whose public API must be fully documented.
-pub const DOCS_CRATES: &[&str] = &[
-    "crates/core/src/",
-    "crates/table/src/",
-    "crates/traits/src/",
-];
-
 /// One invariant check. A rule inspects single files, the whole
 /// workspace, or both.
 pub trait Rule {
@@ -67,14 +57,11 @@ pub trait Rule {
 /// Every registered rule, in reporting order.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
-        Box::new(safety::SafetyComment),
         Box::new(atomics::AtomicOrdering),
         Box::new(seqlock::SeqlockProtocol),
         Box::new(panic_reach::PanicReachability),
         Box::new(wire::FormatExhaustiveness),
         Box::new(theorem1::TheoremOneConfinement),
-        Box::new(docs::MissingDocsPublic),
-        Box::new(crate_attrs::CrateUnsafeAttr),
         Box::new(suppressions::TsanSuppressions),
     ]
 }

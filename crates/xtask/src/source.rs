@@ -378,13 +378,13 @@ mod tests {
 
     #[test]
     fn waiver_parses_rule_scope_and_reason() {
-        let src = "// lint: allow(panic-reachability) — index bounded by loop condition\nlet x = v[i];\n// lint: allow(safety-comment, item) — whole item justified\nfn f() {\n    body();\n}\n";
+        let src = "// lint: allow(panic-reachability) — index bounded by loop condition\nlet x = v[i];\n// lint: allow(atomic-ordering, item) — whole item justified\nfn f() {\n    body();\n}\n";
         let f = SourceFile::new("x.rs", src);
         assert_eq!(f.waivers.len(), 2);
         assert_eq!(f.waivers[0].rule, "panic-reachability");
         assert_eq!((f.waivers[0].line, f.waivers[0].last_line), (1, 2));
         assert!(f.waivers[0].reason.contains("bounded"));
-        assert_eq!(f.waivers[1].rule, "safety-comment");
+        assert_eq!(f.waivers[1].rule, "atomic-ordering");
         assert_eq!((f.waivers[1].line, f.waivers[1].last_line), (3, 6));
     }
 

@@ -36,8 +36,9 @@ fn lint(root: &Path, extra: &[&str]) -> Output {
         .expect("binary runs")
 }
 
-const CLEAN_LIB: &str = "#![forbid(unsafe_code)]\npub fn f() {}\n";
-const DIRTY_LIB: &str = "#![deny(unsafe_code)]\npub fn f() {}\n";
+const CLEAN_LIB: &str = "pub fn f() {}\n";
+const DIRTY_LIB: &str = "use std::sync::atomic::{AtomicU64, Ordering};\n\
+                         pub fn f(v: &AtomicU64) {\n    v.store(1, Ordering::Relaxed);\n}\n";
 
 #[test]
 fn clean_workspace_exits_zero() {
@@ -55,7 +56,7 @@ fn violating_workspace_exits_one_with_diagnostics() {
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(
-        stdout.contains("[crate-unsafe-attr]") && stdout.contains("lib.rs:"),
+        stdout.contains("[atomic-ordering]") && stdout.contains("lib.rs:"),
         "stdout: {stdout}"
     );
     assert!(stdout.contains("hint:"), "stdout: {stdout}");
@@ -75,7 +76,7 @@ fn json_mode_emits_parseable_report() {
     assert_eq!(diags.len(), 1);
     assert_eq!(
         diags[0].get("rule").and_then(json::Value::as_str),
-        Some("crate-unsafe-attr")
+        Some("atomic-ordering")
     );
 
     // Clean workspaces still produce a report, just an empty one.
@@ -95,10 +96,10 @@ fn json_mode_emits_parseable_report() {
 #[test]
 fn rule_filter_restricts_the_run() {
     let root = make_workspace("cli-filter", DIRTY_LIB);
-    // Filtered to an unrelated rule, the attr violation is not reported.
-    let out = lint(&root, &["--rule", "safety-comment"]);
+    // Filtered to an unrelated rule, the ordering violation is not reported.
+    let out = lint(&root, &["--rule", "theorem1-confinement"]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
-    let out = lint(&root, &["--rule", "crate-unsafe-attr"]);
+    let out = lint(&root, &["--rule", "atomic-ordering"]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
 }
 
@@ -138,7 +139,7 @@ fn sarif_format_emits_a_valid_log() {
     assert_eq!(results.len(), 1);
     assert_eq!(
         results[0].get("ruleId").and_then(json::Value::as_str),
-        Some("crate-unsafe-attr")
+        Some("atomic-ordering")
     );
 
     // A clean run is still a structurally complete log (exit 0, empty results).
@@ -193,14 +194,11 @@ fn rules_subcommand_lists_every_rule() {
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let stdout = String::from_utf8(out.stdout).unwrap();
     for rule in [
-        "safety-comment",
         "atomic-ordering",
         "seqlock-protocol",
         "panic-reachability",
         "format-exhaustiveness",
         "theorem1-confinement",
-        "missing-docs-public",
-        "crate-unsafe-attr",
         "tsan-suppressions",
     ] {
         assert!(stdout.contains(rule), "missing {rule} in: {stdout}");

@@ -40,21 +40,6 @@ fn assert_passes(rel: &str, src: &str, rule: &str) {
 }
 
 #[test]
-fn safety_comment_fixtures() {
-    let diags = assert_fails(
-        "crates/demo/src/raw.rs",
-        include_str!("fixtures/safety_fail.rs"),
-        "safety-comment",
-    );
-    assert_eq!(diags.len(), 1, "exactly the one unjustified block");
-    assert_passes(
-        "crates/demo/src/raw.rs",
-        include_str!("fixtures/safety_pass.rs"),
-        "safety-comment",
-    );
-}
-
-#[test]
 fn atomic_ordering_fixtures() {
     // Outside the whitelist the store's ordering argument fires…
     assert_fails(
@@ -232,48 +217,6 @@ fn theorem1_confinement_fixtures() {
         "crates/core/src/dvcf.rs",
         include_str!("fixtures/theorem1_pass.rs"),
         "theorem1-confinement",
-    );
-}
-
-#[test]
-fn missing_docs_public_fixtures() {
-    let diags = assert_fails(
-        "crates/core/src/options.rs",
-        include_str!("fixtures/docs_fail.rs"),
-        "missing-docs-public",
-    );
-    // fn + struct + field, all undocumented.
-    assert_eq!(diags.len(), 3, "got:\n{diags:#?}");
-    assert_passes(
-        "crates/core/src/options.rs",
-        include_str!("fixtures/docs_pass.rs"),
-        "missing-docs-public",
-    );
-    // Crates outside the API list are not held to the doc standard.
-    assert_passes(
-        "crates/harness/src/options.rs",
-        include_str!("fixtures/docs_fail.rs"),
-        "missing-docs-public",
-    );
-}
-
-#[test]
-fn crate_unsafe_attr_fixtures() {
-    assert_fails(
-        "crates/demo/src/lib.rs",
-        include_str!("fixtures/crate_attrs_fail.rs"),
-        "crate-unsafe-attr",
-    );
-    assert_passes(
-        "crates/demo/src/lib.rs",
-        include_str!("fixtures/crate_attrs_pass.rs"),
-        "crate-unsafe-attr",
-    );
-    // Non-root modules carry no crate attributes and are out of scope.
-    assert_passes(
-        "crates/demo/src/inner.rs",
-        include_str!("fixtures/crate_attrs_fail.rs"),
-        "crate-unsafe-attr",
     );
 }
 

@@ -1,4 +1,5 @@
-// Failing fixture: undocumented public items in an API crate.
+// Failing fixture for the workspace `missing_docs` level: the crate,
+// a fn, a struct and its field are all undocumented.
 pub fn undocumented() {}
 
 pub struct Config {
