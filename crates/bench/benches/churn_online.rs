@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use vcf_baselines::{CuckooFilter, DaryCuckooFilter};
 use vcf_bench::{bench_keys, BENCH_SLOTS_LOG2};
 use vcf_core::{CuckooConfig, Dvcf, ScalableVcf, VerticalCuckooFilter};
-use vcf_traits::{Filter, ScalableFilter};
+use vcf_traits::Filter;
 use vcf_workloads::{ChurnConfig, ChurnTrace, Op};
 
 fn config() -> CuckooConfig {

@@ -46,9 +46,9 @@ fn bench_fill<F: Filter>(
 
 /// Pipelined batch insert vs. the serial loop, same keys, same filter.
 /// The `_loop` rows are the baseline the prefetching path must beat.
-/// Runs on a [`BATCH_SLOTS_LOG2`] table (larger than LLC) at 50 % fill:
-/// memory-bound direct placements, where hiding DRAM latency is the
-/// whole game.
+/// Runs on a [`BATCH_SLOTS_LOG2`] table (16 MiB, past L2 but
+/// LLC-resident) at 50 % fill: direct placements bound by L2 misses,
+/// where hiding the last-level-cache latency is the whole game.
 fn bench_batch<F: Filter>(c: &mut Criterion, label: &str, fraction: f64, make: impl Fn() -> F) {
     let slots = 1usize << BATCH_SLOTS_LOG2;
     let n = (slots as f64 * fraction) as usize;

@@ -16,7 +16,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use vcf_bench::{bench_keys, BENCH_SLOTS_LOG2, LOADED_FRACTION};
 use vcf_core::{CuckooConfig, ScalableVcf, TieredFilter, VerticalCuckooFilter};
 use vcf_sketches::BinaryFuse8;
-use vcf_traits::{Filter, LifecycleFilter};
+use vcf_traits::Filter;
 
 type Tiered = TieredFilter<BinaryFuse8>;
 

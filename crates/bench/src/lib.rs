@@ -36,10 +36,12 @@ pub fn bench_keys(n: usize, seed: u64) -> Vec<Vec<u8>> {
 /// cuckoo relocations matter, low enough that every insert succeeds).
 pub const LOADED_FRACTION: f64 = 0.90;
 
-/// Table size for the `insert/batch` group: `2^23` slots (~12 MB of
-/// fingerprints) so bucket reads miss the last-level cache — the regime
-/// software prefetching targets. At [`BENCH_SLOTS_LOG2`] the whole
-/// table is cache-resident and prefetch hints cannot help.
+/// Table size for the `insert/batch` group: `2^23` slots. At f = 14 and
+/// b = 4 that is 2^21 one-word buckets, 16 MiB: far past a 2 MiB L2, so
+/// bucket reads miss it and software prefetching has misses to overlap,
+/// but small enough for a large shared L3 to hold (LLC-resident, not
+/// DRAM-resident; that needs ~2^28 slots). At [`BENCH_SLOTS_LOG2`] the
+/// whole table is L2-resident and prefetch hints cannot help.
 pub const BATCH_SLOTS_LOG2: u32 = 23;
 
 #[cfg(test)]

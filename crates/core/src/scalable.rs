@@ -61,7 +61,7 @@
 //! cold bucket, so a lookup racing the (single-threaded) drain can never
 //! miss it. The drain is budgeted — by default each insert performs at
 //! most **one** bucket-range of migration work (`migrate_budget`), and
-//! [`ScalableFilter::migrate_step`] exposes the same bounded step for
+//! [`ScalableVcf::migrate_step`] exposes the same bounded step for
 //! explicit maintenance loops. A drain that finds the active segment full
 //! stalls without losing ground and resumes after the next growth.
 
@@ -72,7 +72,7 @@ use crate::key;
 use crate::vertical::VerticalParams;
 use vcf_hash::HashKind;
 use vcf_table::FingerprintTable;
-use vcf_traits::{BuildError, Counters, Filter, InsertError, ScalableFilter, Stats};
+use vcf_traits::{BuildError, Counters, Filter, InsertError, Stats};
 
 /// Bit position in `hash(η)` where the partition selector starts. The
 /// XOR offsets consume at most `base_bits < 32` low bits, so selector
@@ -98,7 +98,7 @@ const SHRINK_TARGET_LOAD: f64 = 0.85;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MigrationStats {
     /// Bounded migration steps executed (per-insert amortized ones and
-    /// explicit [`ScalableFilter::migrate_step`] calls).
+    /// explicit [`ScalableVcf::migrate_step`] calls).
     pub steps: u64,
     /// Cold buckets fully drained into the active segment.
     pub drained_buckets: u64,
@@ -212,13 +212,21 @@ enum DrainOutcome {
 /// drains at most [`migrate_budget`](Self::migrate_budget) cold
 /// bucket-ranges.
 ///
+/// # Contract
+///
+/// [`grow`](Self::grow), [`migrate_step`](Self::migrate_step) and
+/// [`shrink_to_fit`](Self::shrink_to_fit) never change a lookup answer
+/// or [`Filter::len`]; `migrate_step(n)` does at most `n` bucket-ranges
+/// of work; a zero [`migration_backlog`](Self::migration_backlog) means
+/// a single segment.
+///
 /// [`VerticalCuckooFilter`]: crate::VerticalCuckooFilter
 ///
 /// # Examples
 ///
 /// ```
 /// use vcf_core::{CuckooConfig, ScalableVcf};
-/// use vcf_traits::{Filter, ScalableFilter};
+/// use vcf_traits::Filter;
 ///
 /// // Starts at 2^6 buckets (256 slots) and grows as needed.
 /// let mut filter = ScalableVcf::new(CuckooConfig::new(1 << 6))?;
@@ -351,7 +359,7 @@ impl ScalableVcf {
     }
 
     /// Cold bucket-ranges each insert drains (0 disables amortized
-    /// migration; [`ScalableFilter::migrate_step`] still works).
+    /// migration; [`migrate_step`](Self::migrate_step) still works).
     pub fn migrate_budget(&self) -> usize {
         self.migrate_budget
     }
@@ -468,8 +476,15 @@ impl ScalableVcf {
     }
 
     /// Appends a segment with one more partition bit (double the
-    /// buckets) as the new insert target.
-    fn grow_segment(&mut self) -> Result<(), BuildError> {
+    /// buckets) as the new insert target, scheduling the older segments
+    /// for incremental migration.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`BuildError`] when the growth limit (see
+    /// [`set_growth_limit`](Self::set_growth_limit)) is reached or the
+    /// new segment cannot be allocated.
+    pub fn grow(&mut self) -> Result<(), BuildError> {
         let part_bits = match self.segments.last() {
             Some(active) => active.part_bits + 1,
             None => 0,
@@ -567,18 +582,18 @@ impl ScalableVcf {
     fn insert_key(&mut self, key: Key) -> Result<(), InsertError> {
         self.migration.last_op_buckets = 0;
         if self.migrate_budget > 0 && self.segments.len() > 1 {
-            let drained = self.migrate_some(self.migrate_budget);
+            let drained = self.migrate_step(self.migrate_budget);
             self.migration.last_op_buckets = drained as u64;
         }
         if self.active_wants_growth() {
             // At the growth cap the active segment simply keeps filling.
-            let _ = self.grow_segment();
+            let _ = self.grow();
         }
         let mut work = Tally::default();
         let first = self.place_active(key, &mut work);
         let result = match first {
             Err(InsertError::Full { kicks }) => {
-                if self.grow_segment().is_ok() {
+                if self.grow().is_ok() {
                     self.place_active(key, &mut work)
                 } else {
                     Err(InsertError::Full { kicks })
@@ -593,8 +608,12 @@ impl ScalableVcf {
         result
     }
 
-    /// Drains up to `budget` cold buckets into the active segment.
-    fn migrate_some(&mut self, budget: usize) -> usize {
+    /// Drains up to `budget` bucket-ranges from the oldest segments
+    /// into the active one, returning how many were fully drained.
+    /// Stops early when the chain is already flat or the active segment
+    /// cannot currently accept the displaced fingerprints (the next
+    /// [`grow`](Self::grow) unblocks it).
+    pub fn migrate_step(&mut self, budget: usize) -> usize {
         if self.segments.len() < 2 {
             return 0;
         }
@@ -702,10 +721,14 @@ impl ScalableVcf {
     }
 
     /// Re-packs the chain into the smallest single segment that holds
-    /// the current occupancy at ≤ [`SHRINK_TARGET_LOAD`], retrying one
-    /// bit larger on placement overflow. Returns `false` when no
-    /// geometry smaller than the current footprint exists.
-    fn repack_smallest(&mut self) -> bool {
+    /// the current occupancy at ≤ `SHRINK_TARGET_LOAD`, retrying one bit
+    /// larger on placement overflow. Returns `true` when the footprint
+    /// shrank, `false` when no smaller geometry exists.
+    ///
+    /// This is an explicit maintenance operation — unlike growth it is
+    /// *not* amortized across other operations, so callers invoke it
+    /// when a latency spike is acceptable (e.g. per shard, off-peak).
+    pub fn shrink_to_fit(&mut self) -> bool {
         let live = self.len();
         let needed_slots = ((live as f64 / SHRINK_TARGET_LOAD).ceil() as usize).max(1);
         let needed_buckets = needed_slots
@@ -725,22 +748,9 @@ impl ScalableVcf {
             part_bits += 1;
         }
     }
-}
 
-impl ScalableFilter for ScalableVcf {
-    fn grow(&mut self) -> Result<(), BuildError> {
-        self.grow_segment()
-    }
-
-    fn shrink_to_fit(&mut self) -> bool {
-        self.repack_smallest()
-    }
-
-    fn migrate_step(&mut self, buckets: usize) -> usize {
-        self.migrate_some(buckets)
-    }
-
-    fn migration_backlog(&self) -> usize {
+    /// Bucket-ranges still awaiting migration (0 ⇔ a single segment).
+    pub fn migration_backlog(&self) -> usize {
         let cold = self.segments.len().saturating_sub(1);
         self.segments
             .iter()
@@ -749,15 +759,18 @@ impl ScalableFilter for ScalableVcf {
             .sum()
     }
 
-    fn segments(&self) -> usize {
+    /// Number of segments currently in the chain.
+    pub fn segments(&self) -> usize {
         self.segments.len()
     }
 
-    fn segment_lens(&self) -> Vec<usize> {
+    /// Stored entries per segment, oldest first.
+    pub fn segment_lens(&self) -> Vec<usize> {
         self.segments.iter().map(|s| s.table.occupied()).collect()
     }
 
-    fn segment_capacities(&self) -> Vec<usize> {
+    /// Slot capacity per segment, oldest first.
+    pub fn segment_capacities(&self) -> Vec<usize> {
         self.segments.iter().map(|s| s.table.capacity()).collect()
     }
 }
@@ -940,7 +953,7 @@ mod tests {
         assert_eq!(f.len(), 5_000);
         let mut guard = 0;
         while f.migration_backlog() > 0 {
-            // Per the ScalableFilter contract a step may stall when the
+            // Per the ScalableVcf contract a step may stall when the
             // active segment cannot take a displaced fingerprint; a grow
             // unblocks it.
             if f.migrate_step(16) == 0 && f.migration_backlog() > 0 {

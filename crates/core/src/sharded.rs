@@ -24,10 +24,13 @@ use crate::scalable::ScalableVcf;
 use crate::vcf::VerticalCuckooFilter;
 use std::sync::RwLock;
 use vcf_hash::mix64;
-use vcf_traits::{BuildError, ConcurrentFilter, Filter, InsertError, ScalableFilter, Stats};
+use vcf_traits::{BuildError, ConcurrentFilter, Filter, InsertError, Stats};
 
 /// Salt decorrelating shard routing from in-shard bucket hashing.
 const SHARD_SALT: u64 = 0x5348_4152_4421; // "SHARD!"
+
+/// Most shard bits a router accepts (65,536 shards).
+const MAX_SHARD_BITS: u32 = 16;
 
 /// A keyspace router over `2^shard_bits` independent concurrent filters.
 ///
@@ -85,21 +88,32 @@ pub type ShardedConcurrentVcf = ShardRouter<ConcurrentVcf>;
 /// shard growing (or being shrunk/migrated) only holds its own lock and
 /// never stalls traffic to the other `2^s − 1` shards. Routing is by key
 /// hash, so per-shard occupancy stays balanced and shards grow roughly
-/// in step without any coordination.
+/// in step without any coordination. Per-shard maintenance
+/// (`migrate_step`, `grow`, `shrink_to_fit`) goes through
+/// [`shards`](ShardRouter::shards), one shard lock at a time.
 pub type ShardedScalableVcf = ShardRouter<RwLock<ScalableVcf>>;
 
 impl<F> ShardRouter<F> {
-    /// Validates router geometry and splits `config` into per-shard
-    /// configs: `config.buckets` is the **total** bucket count, divided
-    /// evenly, and shard `i` gets seed `config.seed + i` so shards do not
-    /// mirror each other's eviction choices.
-    fn shard_configs(
+    /// Validates router geometry, splits `config` into per-shard configs
+    /// and builds each shard with `make_shard`: `config.buckets` is the
+    /// **total** bucket count, divided evenly, and shard `i` gets seed
+    /// `config.seed + i` so shards do not mirror each other's eviction
+    /// choices. `kind` prefixes the display name, e.g. `ShardedVCF[4]`.
+    fn build(
         config: CuckooConfig,
         shard_bits: u32,
-    ) -> Result<impl Iterator<Item = CuckooConfig>, BuildError> {
+        kind: &str,
+        make_shard: impl Fn(CuckooConfig) -> Result<F, BuildError>,
+    ) -> Result<Self, BuildError> {
         config.validate()?;
+        if shard_bits > MAX_SHARD_BITS {
+            return Err(BuildError::InvalidConfig {
+                reason: format!("{shard_bits} shard bits exceeds the cap of {MAX_SHARD_BITS}"),
+            });
+        }
         let shard_count = 1usize << shard_bits;
-        if shard_bits > 16 || config.buckets / shard_count < 4 {
+        let buckets = config.buckets / shard_count;
+        if buckets < 4 {
             return Err(BuildError::InvalidConfig {
                 reason: format!(
                     "{} buckets cannot be split into {shard_count} shards of >= 4 buckets",
@@ -107,14 +121,20 @@ impl<F> ShardRouter<F> {
                 ),
             });
         }
-        let per_shard = CuckooConfig {
-            buckets: config.buckets / shard_count,
-            ..config
-        };
-        Ok((0..shard_count).map(move |i| CuckooConfig {
-            seed: config.seed.wrapping_add(i as u64),
-            ..per_shard
-        }))
+        let shards = (0..shard_count)
+            .map(|i| {
+                make_shard(CuckooConfig {
+                    buckets,
+                    seed: config.seed.wrapping_add(i as u64),
+                    ..config
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Self {
+            shards,
+            shard_mask: shard_count as u64 - 1,
+            label: format!("{kind}[{shard_count}]"),
+        })
     }
 
     /// Number of shards.
@@ -137,15 +157,33 @@ impl<F> ShardRouter<F> {
         (mix64(h ^ SHARD_SALT) & self.shard_mask) as usize
     }
 
-    /// Routes every item, returning each shard's group of input
-    /// positions (empty groups for untouched shards).
-    fn group_by_shard(&self, items: &[&[u8]]) -> Vec<Vec<usize>> {
+    /// Routes the whole batch first, then visits each touched shard
+    /// **once**, running `run` over its group (one lock acquisition / one
+    /// prefetch pipeline pass per shard), and scatters the per-item
+    /// results back into input order. Each group keeps input order, so
+    /// duplicate keys behave exactly like the serial loop.
+    fn scatter<T: Clone>(
+        &self,
+        items: &[&[u8]],
+        fill: T,
+        run: impl Fn(&F, &[&[u8]]) -> Vec<T>,
+    ) -> Vec<T> {
         debug_assert!(self.shard_mask as usize == self.shards.len() - 1);
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for (pos, item) in items.iter().enumerate() {
             groups[self.shard_of(item)].push(pos);
         }
-        groups
+        let mut out = vec![fill; items.len()];
+        for (shard, group) in self.shards.iter().zip(&groups) {
+            if group.is_empty() {
+                continue;
+            }
+            let shard_items: Vec<&[u8]> = group.iter().map(|&pos| items[pos]).collect();
+            for (&pos, result) in group.iter().zip(run(shard, &shard_items)) {
+                out[pos] = result;
+            }
+        }
+        out
     }
 }
 
@@ -158,15 +196,8 @@ impl ShardedVcf {
     /// degenerate (each shard needs at least 4 buckets) or the underlying
     /// VCF construction fails.
     pub fn new(config: CuckooConfig, shard_bits: u32) -> Result<Self, BuildError> {
-        let shards = Self::shard_configs(config, shard_bits)?
-            .map(|c| VerticalCuckooFilter::new(c).map(RwLock::new))
-            .collect::<Result<Vec<_>, _>>()?;
-        let shard_mask = shards.len() as u64 - 1;
-        let label = format!("ShardedVCF[{}]", shards.len());
-        Ok(Self {
-            shards,
-            shard_mask,
-            label,
+        Self::build(config, shard_bits, "ShardedVCF", |c| {
+            VerticalCuckooFilter::new(c).map(RwLock::new)
         })
     }
 }
@@ -180,16 +211,12 @@ impl ShardedConcurrentVcf {
     /// degenerate or the per-shard lane layout would straddle a word
     /// boundary (see [`ConcurrentVcf::new`]).
     pub fn new(config: CuckooConfig, shard_bits: u32) -> Result<Self, BuildError> {
-        let shards = Self::shard_configs(config, shard_bits)?
-            .map(ConcurrentVcf::new)
-            .collect::<Result<Vec<_>, _>>()?;
-        let shard_mask = shards.len() as u64 - 1;
-        let label = format!("ShardedConcurrentVCF[{}]", shards.len());
-        Ok(Self {
-            shards,
-            shard_mask,
-            label,
-        })
+        Self::build(
+            config,
+            shard_bits,
+            "ShardedConcurrentVCF",
+            ConcurrentVcf::new,
+        )
     }
 }
 
@@ -203,30 +230,9 @@ impl ShardedScalableVcf {
     /// Returns a [`BuildError`] when the per-shard geometry would be
     /// degenerate (each shard needs at least 4 base buckets).
     pub fn new(config: CuckooConfig, shard_bits: u32) -> Result<Self, BuildError> {
-        let shards = Self::shard_configs(config, shard_bits)?
-            .map(|c| ScalableVcf::new(c).map(RwLock::new))
-            .collect::<Result<Vec<_>, _>>()?;
-        let shard_mask = shards.len() as u64 - 1;
-        let label = format!("ShardedScalableVCF[{}]", shards.len());
-        Ok(Self {
-            shards,
-            shard_mask,
-            label,
+        Self::build(config, shard_bits, "ShardedScalableVCF", |c| {
+            ScalableVcf::new(c).map(RwLock::new)
         })
-    }
-
-    /// Drains up to `buckets` cold bucket-ranges **per shard**, taking
-    /// each shard's write lock only for its own bounded step. Returns the
-    /// total number of bucket-ranges drained.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shard lock is poisoned.
-    pub fn migrate_step(&self, buckets: usize) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| shard.write().unwrap().migrate_step(buckets))
-            .sum()
     }
 
     /// Total migration backlog across shards (0 ⇔ every shard is a
@@ -240,20 +246,6 @@ impl ShardedScalableVcf {
             .iter()
             .map(|shard| shard.read().unwrap().migration_backlog())
             .sum()
-    }
-
-    /// Shrinks each shard to fit, one shard (and one lock) at a time, so
-    /// the repack latency spike is confined to a `1/2^s` keyspace slice.
-    /// Returns how many shards actually shrank.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shard lock is poisoned.
-    pub fn shrink_to_fit(&self) -> usize {
-        self.shards
-            .iter()
-            .filter(|shard| shard.write().unwrap().shrink_to_fit())
-            .count()
     }
 
     /// Segment-chain length per shard, in routing order (diagnostic).
@@ -284,29 +276,15 @@ impl<F: ConcurrentFilter> ShardRouter<F> {
         self.shards[self.shard_of(item)].insert(item)
     }
 
-    /// Batched insert: routes the whole batch first, then visits each
-    /// touched shard **once**, running its own batched insert (one lock
-    /// acquisition / one prefetch pipeline pass per shard). Per-item
-    /// results come back in input order; a full shard fails only its own
-    /// items, exactly like the serial loop.
+    /// Batched insert: one grouped visit per touched shard, results in
+    /// input order. A full shard fails only its own items, exactly like
+    /// the serial loop.
     ///
     /// # Panics
     ///
     /// Panics if a locked shard's lock is poisoned.
     pub fn insert_batch(&self, items: &[&[u8]]) -> Vec<Result<(), InsertError>> {
-        debug_assert!(self.shard_mask as usize == self.shards.len() - 1);
-        let mut out = vec![Ok(()); items.len()];
-        for (shard, group) in self.group_by_shard(items).iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let shard_items: Vec<&[u8]> = group.iter().map(|&pos| items[pos]).collect();
-            let results = self.shards[shard].insert_batch(&shard_items);
-            for (&pos, result) in group.iter().zip(results) {
-                out[pos] = result;
-            }
-        }
-        out
+        self.scatter(items, Ok(()), ConcurrentFilter::insert_batch)
     }
 
     /// Membership test.
@@ -319,30 +297,15 @@ impl<F: ConcurrentFilter> ShardRouter<F> {
         self.shards[self.shard_of(item)].contains(item)
     }
 
-    /// Batched membership test: routes the whole batch first, then visits
-    /// each shard **once** and runs the shard's own batched probe over
-    /// its group — one lock acquisition (or one cache-overlapped probe
-    /// pass) per touched shard instead of one per item. Answers come back
-    /// in input order.
+    /// Batched membership test: one grouped visit per touched shard —
+    /// one lock acquisition or one cache-overlapped probe pass per shard
+    /// instead of one per item — answers in input order.
     ///
     /// # Panics
     ///
     /// Panics if a locked shard's lock is poisoned.
     pub fn contains_batch(&self, items: &[&[u8]]) -> Vec<bool> {
-        // Route every item, then one batched probe per non-empty shard.
-        debug_assert!(self.shard_mask as usize == self.shards.len() - 1);
-        let mut out = vec![false; items.len()];
-        for (shard, group) in self.group_by_shard(items).iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let shard_items: Vec<&[u8]> = group.iter().map(|&pos| items[pos]).collect();
-            let answers = self.shards[shard].contains_batch(&shard_items);
-            for (&pos, answer) in group.iter().zip(answers) {
-                out[pos] = answer;
-            }
-        }
-        out
+        self.scatter(items, false, ConcurrentFilter::contains_batch)
     }
 
     /// Removes one copy of `item`.
@@ -356,26 +319,14 @@ impl<F: ConcurrentFilter> ShardRouter<F> {
     }
 
     /// Batched delete: one grouped visit per touched shard, answers in
-    /// input order. Duplicate keys in the batch behave like the serial
-    /// loop (each delete removes at most one copy), because the group
-    /// preserves input order within its shard.
+    /// input order. Duplicate keys remove one copy each, as in the serial
+    /// loop.
     ///
     /// # Panics
     ///
     /// Panics if a locked shard's lock is poisoned.
     pub fn delete_batch(&self, items: &[&[u8]]) -> Vec<bool> {
-        let mut out = vec![false; items.len()];
-        for (shard, group) in self.group_by_shard(items).iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let shard_items: Vec<&[u8]> = group.iter().map(|&pos| items[pos]).collect();
-            let answers = self.shards[shard].delete_batch(&shard_items);
-            for (&pos, answer) in group.iter().zip(answers) {
-                out[pos] = answer;
-            }
-        }
-        out
+        self.scatter(items, false, ConcurrentFilter::delete_batch)
     }
 
     /// Total stored entries across shards (a racy-but-consistent-enough
@@ -533,6 +484,8 @@ mod tests {
     fn rejects_degenerate_sharding() {
         assert!(ShardedVcf::new(CuckooConfig::new(16), 3).is_err()); // 2 buckets/shard
         assert!(ShardedVcf::new(CuckooConfig::new(1 << 8), 20).is_err());
+        assert!(ShardedVcf::new(CuckooConfig::new(1 << 8), 64).is_err());
+        assert!(ShardedVcf::new(CuckooConfig::new(1 << 8), u32::MAX).is_err());
         assert!(ShardedVcf::new(CuckooConfig::new(1 << 8), 3).is_ok());
         assert!(ShardedConcurrentVcf::new(CuckooConfig::new(16), 3).is_err());
         assert!(ShardedConcurrentVcf::new(CuckooConfig::new(1 << 8), 3).is_ok());
@@ -765,10 +718,15 @@ mod tests {
         for i in 0..8_000u64 {
             f.insert(&key(i)).unwrap();
         }
-        // Drive migration to completion through the router.
+        // Drive migration to completion, one shard lock at a time.
         let mut guard = 0;
         while f.migration_backlog() > 0 {
-            if f.migrate_step(16) == 0 {
+            let drained: usize = f
+                .shards()
+                .iter()
+                .map(|shard| shard.write().unwrap().migrate_step(16))
+                .sum();
+            if drained == 0 {
                 for shard in f.shards() {
                     shard.write().unwrap().grow().unwrap();
                 }
@@ -783,7 +741,11 @@ mod tests {
             assert!(f.delete(&key(i)));
         }
         let before = f.capacity();
-        let shrunk = f.shrink_to_fit();
+        let shrunk = f
+            .shards()
+            .iter()
+            .filter(|shard| shard.write().unwrap().shrink_to_fit())
+            .count();
         assert!(shrunk > 0, "at least one shard must shrink");
         assert!(f.capacity() < before);
         for i in 0..200u64 {

@@ -18,13 +18,13 @@
 //! construction chunk, amortized across serving operations (or driven
 //! explicitly with [`rotate_step`](TieredFilter::rotate_step)), and the
 //! rotating tier keeps answering lookups until its frozen replacement is
-//! installed — zero false negatives at every intermediate step.
+//! installed — zero false negatives at every intermediate step. Only
+//! the frozen side is a trait ([`FrozenSet`]), so tests can swap in an
+//! exact set.
 
 use crate::config::CuckooConfig;
 use crate::scalable::ScalableVcf;
-use vcf_traits::{
-    BuildError, Filter, FrozenBuilder, FrozenSet, InsertError, LifecycleFilter, Stats,
-};
+use vcf_traits::{BuildError, Filter, FrozenBuilder, FrozenSet, InsertError, Stats};
 
 /// Default rotation work units amortized onto each insert (same spirit
 /// as the migration budget: one bounded unit per insert drains a
@@ -89,6 +89,12 @@ struct Rotation<G: FrozenSet> {
 /// touching cold lanes. Batched lookups group the still-unresolved
 /// items per generation so each tier sees one batch, mirroring the
 /// shard router's group-dispatch shape.
+///
+/// # Rotation contract
+///
+/// Every key acknowledged before a [`rotate`](Self::rotate) is found at
+/// every intermediate step and after the generation freezes, and
+/// `rotate_step(n)` performs at most `n` bounded work units.
 ///
 /// # Deletion semantics
 ///
@@ -157,6 +163,84 @@ impl<G: FrozenSet> TieredFilter<G> {
             .as_ref()
             .map_or(0, |r| r.source.storage_bytes());
         self.hot.storage_bytes() + rotating + self.frozen_storage_bytes()
+    }
+
+    /// Begins rotating the current hot tier into a new frozen
+    /// generation and installs a fresh, empty hot tier. Returns `false`
+    /// (and changes nothing) when the hot tier is empty or a rotation is
+    /// already in flight.
+    pub fn rotate(&mut self) -> bool {
+        if self.rotation.is_some() || self.hot.len() == 0 {
+            return false;
+        }
+        let Ok(fresh) = ScalableVcf::new(self.config) else {
+            return false; // config was valid at construction; defensive
+        };
+        let source = core::mem::replace(&mut self.hot, fresh);
+        self.freeze_seed = self.freeze_seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.rotation = Some(Rotation {
+            source,
+            builder: G::begin(self.freeze_seed),
+            segment: 0,
+            bucket: 0,
+            collecting: true,
+            scratch: Vec::new(),
+        });
+        self.stats.rotations_started += 1;
+        true
+    }
+
+    /// Drives an in-flight rotation by at most `units` bounded work
+    /// units (hot bucket-ranges collected or construction chunks built),
+    /// returning the number performed and recording it in
+    /// [`RotationStats::last_op_units`]. Returns 0 when no rotation is
+    /// in flight.
+    pub fn rotate_step(&mut self, units: usize) -> usize {
+        let mut done = 0;
+        while done < units && self.advance_one() {
+            done += 1;
+        }
+        self.stats.last_op_units = done as u64;
+        done
+    }
+
+    /// Work units remaining in the in-flight rotation (0 ⇔ idle).
+    pub fn rotation_backlog(&self) -> usize {
+        let Some(rot) = &self.rotation else {
+            return 0;
+        };
+        let mut remaining = rot.builder.backlog();
+        if rot.collecting {
+            remaining += 1; // the seal unit
+            let mut segment = rot.segment;
+            let mut from = rot.bucket;
+            loop {
+                let buckets = rot.source.segment_buckets(segment);
+                if buckets == 0 {
+                    break;
+                }
+                remaining += buckets.saturating_sub(from);
+                from = 0;
+                segment += 1;
+            }
+        }
+        remaining.max(1)
+    }
+
+    /// Number of fully-frozen generations (excludes the hot tier and
+    /// any generation still rotating).
+    pub fn generations(&self) -> usize {
+        self.frozen.len()
+    }
+
+    /// Distinct canonical keys per frozen generation, newest first.
+    pub fn generation_lens(&self) -> Vec<usize> {
+        self.frozen.iter().rev().map(FrozenSet::len).collect()
+    }
+
+    /// Heap bytes backing the frozen generations.
+    pub fn frozen_storage_bytes(&self) -> usize {
+        self.frozen.iter().map(FrozenSet::storage_bytes).sum()
     }
 
     /// Drives an in-flight rotation by one unit: collect one source
@@ -234,17 +318,6 @@ impl<G: FrozenSet> TieredFilter<G> {
         }
     }
 
-    /// Runs up to `units` rotation work units, recording the count in
-    /// [`RotationStats::last_op_units`].
-    fn advance(&mut self, units: usize) -> usize {
-        let mut done = 0;
-        while done < units && self.advance_one() {
-            done += 1;
-        }
-        self.stats.last_op_units = done as u64;
-        done
-    }
-
     /// Canonical coset key of `item` for probing frozen generations.
     /// Hot tiers across rotations share one base geometry (the config
     /// is stored), so the derivation is stable for the filter's life.
@@ -257,14 +330,14 @@ impl<G: FrozenSet> Filter for TieredFilter<G> {
     // lint: hot-path
     fn insert(&mut self, item: &[u8]) -> Result<(), InsertError> {
         let result = self.hot.insert(item);
-        self.advance(self.rotate_budget);
+        self.rotate_step(self.rotate_budget);
         result
     }
 
     // lint: hot-path
     fn insert_batch(&mut self, items: &[&[u8]]) -> Vec<Result<(), InsertError>> {
         let results = self.hot.insert_batch(items);
-        self.advance(self.rotate_budget.saturating_mul(items.len()));
+        self.rotate_step(self.rotate_budget.saturating_mul(items.len()));
         results
     }
 
@@ -362,67 +435,6 @@ impl<G: FrozenSet> Filter for TieredFilter<G> {
 
     fn name(&self) -> String {
         format!("Tiered[{} | {} frozen]", self.hot.name(), self.frozen.len())
-    }
-}
-
-impl<G: FrozenSet> LifecycleFilter for TieredFilter<G> {
-    fn rotate(&mut self) -> bool {
-        if self.rotation.is_some() || self.hot.len() == 0 {
-            return false;
-        }
-        let Ok(fresh) = ScalableVcf::new(self.config) else {
-            return false; // config was valid at construction; defensive
-        };
-        let source = core::mem::replace(&mut self.hot, fresh);
-        self.freeze_seed = self.freeze_seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        self.rotation = Some(Rotation {
-            source,
-            builder: G::begin(self.freeze_seed),
-            segment: 0,
-            bucket: 0,
-            collecting: true,
-            scratch: Vec::new(),
-        });
-        self.stats.rotations_started += 1;
-        true
-    }
-
-    fn rotate_step(&mut self, units: usize) -> usize {
-        self.advance(units)
-    }
-
-    fn rotation_backlog(&self) -> usize {
-        let Some(rot) = &self.rotation else {
-            return 0;
-        };
-        let mut remaining = rot.builder.backlog();
-        if rot.collecting {
-            remaining += 1; // the seal unit
-            let mut segment = rot.segment;
-            let mut from = rot.bucket;
-            loop {
-                let buckets = rot.source.segment_buckets(segment);
-                if buckets == 0 {
-                    break;
-                }
-                remaining += buckets.saturating_sub(from);
-                from = 0;
-                segment += 1;
-            }
-        }
-        remaining.max(1)
-    }
-
-    fn generations(&self) -> usize {
-        self.frozen.len()
-    }
-
-    fn generation_lens(&self) -> Vec<usize> {
-        self.frozen.iter().rev().map(FrozenSet::len).collect()
-    }
-
-    fn frozen_storage_bytes(&self) -> usize {
-        self.frozen.iter().map(FrozenSet::storage_bytes).sum()
     }
 }
 

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use vcf_core::ShardRouter;
-use vcf_traits::{BatchOpKind, ConcurrentFilter, FilterService};
+use vcf_traits::{BatchOpKind, ConcurrentFilter};
 
 use crate::protocol::{bitmap_set, KEY_LEN};
 
@@ -64,9 +64,17 @@ impl<F: ConcurrentFilter> ShardEngine for ShardRouter<F> {
     }
 
     fn shard_execute(&self, shard: usize, op: BatchOpKind, keys: &[&[u8]]) -> Vec<bool> {
-        match self.shards().get(shard) {
-            Some(filter) => filter.execute_batch(op, keys),
-            None => vec![false; keys.len()],
+        let Some(filter) = self.shards().get(shard) else {
+            return vec![false; keys.len()];
+        };
+        match op {
+            BatchOpKind::Insert => filter
+                .insert_batch(keys)
+                .iter()
+                .map(Result::is_ok)
+                .collect(),
+            BatchOpKind::Lookup => filter.contains_batch(keys),
+            BatchOpKind::Delete => filter.delete_batch(keys),
         }
     }
 
@@ -315,35 +323,43 @@ mod tests {
 
     #[test]
     fn executed_batches_match_direct_router_calls() {
-        let config = CuckooConfig::new(1 << 10).with_seed(7);
-        let oracle = ShardedConcurrentVcf::new(config, 3).expect("config is valid");
-        let exec = ShardExecutor::new(test_engine(), 3);
-        let mut scratch = exec.scratch();
-
-        let keys: Vec<u64> = (0..500u64).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
-        let key_bytes: Vec<[u8; 8]> = keys.iter().map(|k| k.to_le_bytes()).collect();
-        let key_refs: Vec<&[u8]> = key_bytes.iter().map(|k| &k[..]).collect();
-
-        let inserted = run_bitmap(&exec, &mut scratch, BatchOpKind::Insert, &keys);
-        let expected: Vec<bool> = oracle
-            .insert_batch(&key_refs)
-            .iter()
-            .map(Result::is_ok)
+        // A light key set, then one that overfills the 4,096-slot engine
+        // so refused inserts must read as 0 bits, exactly as the oracle.
+        let light: Vec<u64> = (0..500u64).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
+        let overfill: Vec<u64> = (0..6_000u64)
+            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
             .collect();
-        for (i, want) in expected.iter().enumerate() {
-            assert_eq!(bitmap_get(&inserted, i), *want, "insert bit {i}");
-        }
+        for (keys, overfills) in [(light, false), (overfill, true)] {
+            let config = CuckooConfig::new(1 << 10).with_seed(7);
+            let oracle = ShardedConcurrentVcf::new(config, 3).expect("config is valid");
+            let exec = ShardExecutor::new(test_engine(), 3);
+            let mut scratch = exec.scratch();
+            let key_bytes: Vec<[u8; 8]> = keys.iter().map(|k| k.to_le_bytes()).collect();
+            let key_refs: Vec<&[u8]> = key_bytes.iter().map(|k| &k[..]).collect();
 
-        let looked = run_bitmap(&exec, &mut scratch, BatchOpKind::Lookup, &keys);
-        for (i, want) in oracle.contains_batch(&key_refs).iter().enumerate() {
-            assert_eq!(bitmap_get(&looked, i), *want, "lookup bit {i}");
-        }
+            let inserted = run_bitmap(&exec, &mut scratch, BatchOpKind::Insert, &keys);
+            let expected: Vec<bool> = oracle
+                .insert_batch(&key_refs)
+                .iter()
+                .map(Result::is_ok)
+                .collect();
+            assert_eq!(expected.contains(&false), overfills, "refused inserts");
+            for (i, want) in expected.iter().enumerate() {
+                assert_eq!(bitmap_get(&inserted, i), *want, "insert bit {i}");
+            }
+            assert_eq!(exec.engine().total_len(), oracle.len());
 
-        let deleted = run_bitmap(&exec, &mut scratch, BatchOpKind::Delete, &keys);
-        for (i, want) in oracle.delete_batch(&key_refs).iter().enumerate() {
-            assert_eq!(bitmap_get(&deleted, i), *want, "delete bit {i}");
+            let looked = run_bitmap(&exec, &mut scratch, BatchOpKind::Lookup, &keys);
+            for (i, want) in oracle.contains_batch(&key_refs).iter().enumerate() {
+                assert_eq!(bitmap_get(&looked, i), *want, "lookup bit {i}");
+            }
+
+            let deleted = run_bitmap(&exec, &mut scratch, BatchOpKind::Delete, &keys);
+            for (i, want) in oracle.delete_batch(&key_refs).iter().enumerate() {
+                assert_eq!(bitmap_get(&deleted, i), *want, "delete bit {i}");
+            }
+            assert_eq!(exec.engine().total_len(), oracle.len());
         }
-        assert_eq!(exec.engine().total_len(), oracle.len());
     }
 
     #[test]

@@ -1,21 +1,21 @@
-//! The freeze/rotate surface: immutable frozen generations and the
-//! hot/cold filter lifecycle.
+//! The freeze surface: immutable frozen generations and their
+//! incremental builders.
 //!
 //! A churn-heavy filter earns its cuckoo machinery while data is *hot*;
 //! a generation that has stopped mutating pays cuckoo rent (partial
 //! occupancy, eviction headroom, per-slot alignment) forever. The traits
 //! here let a mutable filter drain its stored fingerprints into an
 //! immutable *frozen set* — typically a binary fuse filter, ~25% smaller
-//! and faster to query than any cuckoo variant for the same error rate —
-//! and let a façade rotate through hot and frozen generations behind the
-//! plain [`Filter`] API.
+//! and faster to query than any cuckoo variant for the same error rate.
+//! `vcf_core::TieredFilter` rotates its hot tiers into such sets; these
+//! stay traits so its tests can substitute an exact set for the fuse.
 //!
 //! Keys cross the freeze boundary as **canonical keys**: 64-bit values a
 //! cuckoo-family filter can derive from its *stored bits alone* (bucket
 //! coset + fingerprint, Theorem 1), so freezing never needs the original
 //! items — the paper's partial-key invariant extended to the lifecycle.
 
-use crate::{BuildError, Filter};
+use crate::BuildError;
 
 /// An immutable approximate-membership set over 64-bit canonical keys.
 ///
@@ -108,53 +108,4 @@ pub trait FrozenBuilder {
     /// Returns a [`BuildError`] when called before construction is
     /// complete ([`backlog`](Self::backlog) non-zero).
     fn finish(self) -> Result<Self::Set, BuildError>;
-}
-
-/// A [`Filter`] managing a hot/cold lifecycle: one mutable hot tier plus
-/// zero or more immutable frozen generations.
-///
-/// Inserts and deletes hit the hot tier only; lookups fan across all
-/// generations newest-first. An explicit [`rotate`](Self::rotate) begins
-/// freezing the current hot tier into a new frozen generation; the drain
-/// and build are *budgeted* — bounded work per call, amortized across
-/// subsequent operations or driven explicitly with
-/// [`rotate_step`](Self::rotate_step) — and the rotating tier keeps
-/// answering lookups until its frozen replacement is installed, so no
-/// key ever flickers absent mid-rotation.
-///
-/// # Contract
-///
-/// * `rotate`/`rotate_step` never introduce false negatives: every key
-///   acknowledged before a rotation is still found at every intermediate
-///   step and after the generation freezes.
-/// * `rotate_step(n)` performs at most `n` bounded work units.
-/// * Frozen generations are append-frozen: [`Filter::delete`] only
-///   removes keys still in the hot tier and returns `false` for keys
-///   that have been frozen — the lifecycle analogue of expiring a cold
-///   partition rather than editing it.
-pub trait LifecycleFilter: Filter {
-    /// Begins rotating the current hot tier into a new frozen
-    /// generation and installs a fresh, empty hot tier. Returns `false`
-    /// (and changes nothing) when the hot tier is empty or a rotation is
-    /// already in flight.
-    fn rotate(&mut self) -> bool;
-
-    /// Drives an in-flight rotation by at most `units` bounded work
-    /// units (hot bucket-ranges collected or construction chunks built),
-    /// returning the number performed. Returns 0 when no rotation is in
-    /// flight.
-    fn rotate_step(&mut self, units: usize) -> usize;
-
-    /// Work units remaining in the in-flight rotation (0 ⇔ idle).
-    fn rotation_backlog(&self) -> usize;
-
-    /// Number of fully-frozen generations (excludes the hot tier and
-    /// any generation still rotating).
-    fn generations(&self) -> usize;
-
-    /// Distinct canonical keys per frozen generation, newest first.
-    fn generation_lens(&self) -> Vec<usize>;
-
-    /// Heap bytes backing the frozen generations.
-    fn frozen_storage_bytes(&self) -> usize;
 }

@@ -35,16 +35,14 @@ mod concurrent;
 mod counters;
 mod ext;
 mod frozen;
-mod scalable;
 mod service;
 mod stats;
 
 pub use concurrent::ConcurrentFilter;
 pub use counters::Counters;
 pub use ext::FilterExt;
-pub use frozen::{FrozenBuilder, FrozenSet, LifecycleFilter};
-pub use scalable::ScalableFilter;
-pub use service::{BatchOpKind, FilterService};
+pub use frozen::{FrozenBuilder, FrozenSet};
+pub use service::BatchOpKind;
 pub use stats::{OpCounters, Stats};
 
 /// Error returned when an item cannot be inserted.

@@ -1,19 +1,12 @@
-//! The batched-op *service* surface: what a wire server dispatches over.
+//! The batched-op kinds a wire server dispatches.
 //!
 //! A filter server's data plane never sees single operations — frames
 //! carry whole batches of one operation kind, and the per-key outcome is
 //! a single bit on the wire (insert: stored?, lookup: present?, delete:
-//! removed?). [`FilterService`] is that exact surface: object-safe,
-//! `&self`, one entry point per batch, so the server's shard executor
-//! can hold `dyn FilterService` shards without caring whether a shard is
-//! lock-free, `RwLock`-wrapped, or elastic.
-//!
-//! Every [`ConcurrentFilter`] is a `FilterService` via the blanket impl,
-//! which lowers each batch onto the filter's own batched entry points
+//! removed?). [`BatchOpKind`] names those three kinds; the server's
+//! shard engine lowers each one onto a shard's batched entry point
 //! (`insert_batch` / `contains_batch` / `delete_batch`) so the prefetch
 //! pipelines underneath them stay on the hot path.
-
-use crate::ConcurrentFilter;
 
 /// Kind of a data-plane batch operation, mirroring the wire opcodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -40,150 +33,14 @@ impl BatchOpKind {
     }
 }
 
-/// A batched set-membership service: the [`ConcurrentFilter`] contract
-/// flattened to the one call shape a request/response data plane needs.
-///
-/// # Examples
-///
-/// ```
-/// use std::sync::RwLock;
-/// use vcf_traits::{BatchOpKind, FilterService};
-///
-/// fn burst<S: FilterService + ?Sized>(service: &S) {
-///     let keys: Vec<&[u8]> = vec![b"a", b"b"];
-///     let stored = service.execute_batch(BatchOpKind::Insert, &keys);
-///     assert_eq!(stored, vec![true, true]);
-///     let present = service.execute_batch(BatchOpKind::Lookup, &keys);
-///     assert_eq!(present, vec![true, true]);
-/// }
-/// ```
-pub trait FilterService: Send + Sync {
-    /// Executes one single-kind batch, returning one outcome bit per key
-    /// in input order.
-    fn execute_batch(&self, op: BatchOpKind, keys: &[&[u8]]) -> Vec<bool>;
-
-    /// Number of entries currently stored (exact at quiescence).
-    fn service_len(&self) -> usize;
-
-    /// Total entry capacity.
-    fn service_capacity(&self) -> usize;
-
-    /// Display name for logs and stats replies.
-    fn service_name(&self) -> String;
-}
-
-impl<F: ConcurrentFilter> FilterService for F {
-    fn execute_batch(&self, op: BatchOpKind, keys: &[&[u8]]) -> Vec<bool> {
-        match op {
-            BatchOpKind::Insert => self.insert_batch(keys).iter().map(Result::is_ok).collect(),
-            BatchOpKind::Lookup => self.contains_batch(keys),
-            BatchOpKind::Delete => self.delete_batch(keys),
-        }
-    }
-
-    fn service_len(&self) -> usize {
-        self.len()
-    }
-
-    fn service_capacity(&self) -> usize {
-        self.capacity()
-    }
-
-    fn service_name(&self) -> String {
-        self.name()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Filter, InsertError, Stats};
-    use std::sync::RwLock;
-
-    /// Tiny exact-set filter for exercising the blanket impl.
-    #[derive(Default)]
-    struct ExactSet {
-        items: Vec<Vec<u8>>,
-    }
-
-    impl Filter for ExactSet {
-        fn insert(&mut self, item: &[u8]) -> Result<(), InsertError> {
-            if self.items.len() >= 4 {
-                return Err(InsertError::Full { kicks: 0 });
-            }
-            self.items.push(item.to_vec());
-            Ok(())
-        }
-
-        fn contains(&self, item: &[u8]) -> bool {
-            self.items.iter().any(|i| i == item)
-        }
-
-        fn delete(&mut self, item: &[u8]) -> bool {
-            match self.items.iter().position(|i| i == item) {
-                Some(at) => {
-                    self.items.swap_remove(at);
-                    true
-                }
-                None => false,
-            }
-        }
-
-        fn len(&self) -> usize {
-            self.items.len()
-        }
-
-        fn capacity(&self) -> usize {
-            4
-        }
-
-        fn stats(&self) -> Stats {
-            Stats::default()
-        }
-
-        fn reset_stats(&mut self) {}
-
-        fn name(&self) -> String {
-            "ExactSet".to_owned()
-        }
-    }
-
-    #[test]
-    fn blanket_impl_maps_ops_to_bits() {
-        let service = RwLock::new(ExactSet::default());
-        let keys: Vec<&[u8]> = vec![b"a", b"b", b"c", b"d", b"e"];
-        // Capacity 4: the fifth insert reports full as a 0 bit.
-        assert_eq!(
-            service.execute_batch(BatchOpKind::Insert, &keys),
-            vec![true, true, true, true, false]
-        );
-        assert_eq!(
-            service.execute_batch(BatchOpKind::Lookup, &keys),
-            vec![true, true, true, true, false]
-        );
-        assert_eq!(
-            service.execute_batch(BatchOpKind::Delete, &keys),
-            vec![true, true, true, true, false]
-        );
-        assert_eq!(service.service_len(), 0);
-        assert_eq!(service.service_capacity(), 4);
-        assert_eq!(service.service_name(), "ExactSet");
-    }
 
     #[test]
     fn kind_labels_are_stable() {
         assert_eq!(BatchOpKind::Insert.label(), "insert");
         assert_eq!(BatchOpKind::Lookup.label(), "lookup");
         assert_eq!(BatchOpKind::Delete.label(), "delete");
-    }
-
-    #[test]
-    fn service_is_object_safe() {
-        let service = RwLock::new(ExactSet::default());
-        let dyn_service: &dyn FilterService = &service;
-        assert_eq!(
-            dyn_service.execute_batch(BatchOpKind::Lookup, &[b"missing".as_slice()]),
-            vec![false]
-        );
     }
 }

@@ -59,7 +59,7 @@ pub mod prelude {
     pub use vcf_sketches::{BinaryFuse16, BinaryFuse8};
     pub use vcf_traits::{
         BuildError, ConcurrentFilter, Filter, FilterExt, FrozenBuilder, FrozenSet, InsertError,
-        LifecycleFilter, ScalableFilter, Stats,
+        Stats,
     };
 }
 

@@ -13,7 +13,7 @@ use vertical_cuckoo_filters::analysis::fpr_upper_bound;
 use vertical_cuckoo_filters::baselines::CuckooFilter;
 use vertical_cuckoo_filters::hash::mix64;
 use vertical_cuckoo_filters::sketches::BinaryFuse8;
-use vertical_cuckoo_filters::traits::{Filter, ScalableFilter};
+use vertical_cuckoo_filters::traits::Filter;
 use vertical_cuckoo_filters::vcf::{
     ConcurrentVcf, CuckooConfig, ScalableVcf, VerticalCuckooFilter,
 };

@@ -14,7 +14,7 @@
 //!    key `(min coset bucket, η)`, and the sorted multisets must match.
 
 use proptest::prelude::*;
-use vertical_cuckoo_filters::traits::{Filter, ScalableFilter};
+use vertical_cuckoo_filters::traits::Filter;
 use vertical_cuckoo_filters::vcf::{CuckooConfig, ScalableVcf};
 
 /// Drives the backlog to zero through bounded steps, growing to unblock

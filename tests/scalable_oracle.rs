@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 
-use vertical_cuckoo_filters::traits::{Filter, ScalableFilter};
+use vertical_cuckoo_filters::traits::Filter;
 use vertical_cuckoo_filters::vcf::{CuckooConfig, ScalableVcf};
 
 /// SplitMix64: deterministic op stream without external dependencies.
@@ -204,7 +204,7 @@ fn every_migration_step_preserves_membership_and_occupancy() {
     while filter.migration_backlog() > 0 {
         if filter.migrate_step(4) == 0 && filter.migration_backlog() > 0 {
             // Stalled on a saturated partition: grow to unblock, per the
-            // ScalableFilter contract.
+            // ScalableVcf contract.
             filter.grow().unwrap();
         }
         assert_exact_occupancy(&filter, &oracle, "migrate_step");
