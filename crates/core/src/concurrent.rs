@@ -73,6 +73,12 @@ const MAX_PATH: usize = 5;
 /// candidate buckets.
 const CONTAINS_RETRIES: usize = 8;
 
+/// Failed attempts on a stripe lock between yields of the CPU. With more
+/// runnable threads than cores, a lock holder can be preempted; a waiter
+/// that only spins then burns its whole time slice before the holder
+/// runs again.
+const SPINS_PER_YIELD: u32 = 64;
+
 /// Buckets sharing one seqlock stripe. At 64, a 2^24-slot table (2^22
 /// buckets) has 65,536 stripes of 4 bytes: 256 KiB.
 const BUCKETS_PER_STRIPE: usize = 64;
@@ -349,6 +355,7 @@ impl ConcurrentVcf {
     fn lock(&self, stripe: usize) {
         debug_assert!(stripe < self.stripes.len());
         let v = &self.stripes[stripe];
+        let mut spins = 0u32;
         loop {
             // CAS pre-read (checked structurally by seqlock-protocol):
             // the compare_exchange's Acquire success ordering is what
@@ -365,7 +372,12 @@ impl ConcurrentVcf {
             {
                 return;
             }
-            std::hint::spin_loop();
+            spins = spins.wrapping_add(1);
+            if spins.is_multiple_of(SPINS_PER_YIELD) {
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
+            }
         }
     }
 
@@ -495,6 +507,7 @@ impl ConcurrentVcf {
         let mut probes = 0u64;
         let mut kicks = 0u64;
         let mut rng: Option<SmallRng> = None;
+        let mut path = [(0, 0, 0); MAX_PATH];
         let result = 'walk: loop {
             // Fast path: CAS-claim an empty lane in a candidate bucket.
             // Re-run each round — concurrent deletes may free slots while
@@ -514,11 +527,11 @@ impl ConcurrentVcf {
                 let salt = self.rng_salt.fetch_add(1, Ordering::Relaxed);
                 SmallRng::seed_from_u64(mix64(salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
             });
-            match self.find_path(cands, rng, &mut probes) {
-                Some((path, final_dst)) => {
-                    kicks += path.len() as u64;
-                    stats.hash_computations += path.len() as u64;
-                    if self.execute_path(&path, final_dst, fingerprint) {
+            match self.find_path(cands, rng, &mut probes, &mut path) {
+                Some((len, final_dst)) => {
+                    kicks += len as u64;
+                    stats.hash_computations += len as u64;
+                    if self.execute_path(&path[..len], final_dst, fingerprint) {
                         break Ok(());
                     }
                     // A concurrent mutation invalidated the chain; the
@@ -534,28 +547,29 @@ impl ConcurrentVcf {
     }
 
     /// Speculatively (without locks) finds a relocation chain: a sequence
-    /// of `(bucket, slot, fingerprint)` moves where each fingerprint can
-    /// hop to the *next* entry's bucket, ending in `final_dst` which had
-    /// an empty slot at scan time. Returns `None` if no chain of length
-    /// ≤ [`MAX_PATH`] was found on this walk.
+    /// of `(bucket, slot, fingerprint)` moves, written to the front of
+    /// `path`, where each fingerprint can hop to the *next* entry's
+    /// bucket, ending in `final_dst` which had an empty slot at scan
+    /// time. Returns `(chain length, final_dst)`, or `None` if no chain
+    /// of length ≤ [`MAX_PATH`] was found on this walk.
     fn find_path(
         &self,
         cands: &Candidates,
         rng: &mut SmallRng,
         probes: &mut u64,
-    ) -> Option<(Vec<PathStep>, usize)> {
+        path: &mut [PathStep; MAX_PATH],
+    ) -> Option<(usize, usize)> {
         let slots = self.table.slots_per_bucket();
         let mut cur = cands.buckets[rng.gen_range(0..4)];
-        let mut path = Vec::with_capacity(MAX_PATH);
-        for _ in 0..MAX_PATH {
+        for (len, step) in path.iter_mut().enumerate() {
             let slot = rng.gen_range(0..slots);
             let victim = self.table.get(cur, slot);
             if victim == 0 {
                 // `cur` has room after all (someone deleted): end the
                 // chain here; the previous hop claims into `cur`.
-                return Some((path, cur));
+                return Some((len, cur));
             }
-            path.push((cur, slot, victim));
+            *step = (cur, slot, victim);
             let alts = self
                 .params
                 .alternates(cur, self.hash.hash_fingerprint(victim));
@@ -564,16 +578,23 @@ impl ConcurrentVcf {
                 .iter()
                 .find(|&&a| a != cur && !self.table.bucket_is_full(a))
             {
-                return Some((path, alt));
+                return Some((len + 1, alt));
             }
             // All of the victim's alternates are full too: walk onward
             // through a random one and kick deeper.
-            let choices: Vec<usize> = alts.iter().copied().filter(|&a| a != cur).collect();
-            if choices.is_empty() {
+            let mut choices = [0usize; 3];
+            let mut n = 0;
+            for alt in alts.into_iter().filter(|&a| a != cur) {
+                if let Some(choice) = choices.get_mut(n) {
+                    *choice = alt;
+                }
+                n += 1;
+            }
+            if n == 0 {
                 // Degenerate masks (offsets all zero): nowhere to go.
                 return None;
             }
-            cur = choices[rng.gen_range(0..choices.len())];
+            cur = choices[rng.gen_range(0..n)];
         }
         None
     }

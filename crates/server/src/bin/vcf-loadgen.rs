@@ -6,7 +6,7 @@
 //!
 //! Options:
 //!   --connect <EP>       target server endpoint
-//!   --connections <N>    concurrent connections (default 2)
+//!   --connections <N>    concurrent connections (default 2; --bench sweeps its list)
 //!   --batch <N>          keys per frame (default 256)
 //!   --ops <N>            total data ops across connections (default 100000)
 //!   --read-fraction <F>  fraction of lookup frames (default 0.5)
@@ -15,10 +15,10 @@
 //!   --seed <N>           run seed
 //!
 //! Bench mode (spawns its own in-process UDS servers):
-//!   --bench <PREFIX>     sweep workers × batch, sockets at PREFIX-*.sock
-//!   --json <FILE>        write the flat BENCH map to FILE (default stdout)
-//!   --workers-list <L>   comma-separated worker counts (default 1,2,4)
-//!   --batch-list <L>     comma-separated batch sizes (default 1,16,256,1024)
+//!   --bench <PREFIX>         sweep connections × batch, sockets at PREFIX-*.sock
+//!   --json <FILE>            write the flat BENCH map to FILE (default stdout)
+//!   --connections-list <L>   comma-separated connection counts (default 1,2,4)
+//!   --batch-list <L>         comma-separated batch sizes (default 1,16,256,1024)
 //! ```
 
 use std::path::PathBuf;
@@ -29,14 +29,14 @@ use vcf_server::{Endpoint, ServerConfig, ServerHandle};
 fn usage() -> &'static str {
     "usage: vcf-loadgen (--connect <EP> | --bench <PREFIX>) [--connections N] [--batch N] \
      [--ops N] [--read-fraction F] [--keyspace N] [--workload W] [--seed N] \
-     [--json FILE] [--workers-list L] [--batch-list L]"
+     [--json FILE] [--connections-list L] [--batch-list L]"
 }
 
 struct Cli {
     connect: Option<Endpoint>,
     bench_prefix: Option<PathBuf>,
     json: Option<PathBuf>,
-    workers_list: Vec<usize>,
+    connections_list: Vec<usize>,
     batch_list: Vec<usize>,
     load: LoadgenConfig,
 }
@@ -56,7 +56,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         connect: None,
         bench_prefix: None,
         json: None,
-        workers_list: vec![1, 2, 4],
+        connections_list: vec![1, 2, 4],
         batch_list: vec![1, 16, 256, 1024],
         load: LoadgenConfig::new(Endpoint::Tcp("unset".to_owned())),
     };
@@ -71,8 +71,9 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--connect" => cli.connect = Some(Endpoint::parse(&value("--connect")?)?),
             "--bench" => cli.bench_prefix = Some(PathBuf::from(value("--bench")?)),
             "--json" => cli.json = Some(PathBuf::from(value("--json")?)),
-            "--workers-list" => {
-                cli.workers_list = parse_list(&value("--workers-list")?, "--workers-list")?;
+            "--connections-list" => {
+                cli.connections_list =
+                    parse_list(&value("--connections-list")?, "--connections-list")?;
             }
             "--batch-list" => cli.batch_list = parse_list(&value("--batch-list")?, "--batch-list")?,
             "--connections" => {
@@ -115,22 +116,21 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     Ok(cli)
 }
 
-/// One sweep point: spawn an in-process UDS server with `workers`
-/// worker threads, run the mixed workload at `batch`, report ops/sec.
-fn bench_point(cli: &Cli, workers: usize, batch: usize) -> std::io::Result<SweepPoint> {
+/// One sweep point: spawn an in-process UDS server, run the mixed
+/// workload over `connections` connections at `batch`, report ops/sec.
+fn bench_point(cli: &Cli, connections: usize, batch: usize) -> std::io::Result<SweepPoint> {
     let prefix = cli.bench_prefix.clone().unwrap_or_default();
-    let socket = PathBuf::from(format!("{}-t{workers}-b{batch}.sock", prefix.display()));
-    let mut server_config = ServerConfig::new(Endpoint::Uds(socket));
-    server_config.workers = workers;
-    let mut server = ServerHandle::spawn(&server_config)?;
+    let socket = PathBuf::from(format!("{}-c{connections}-b{batch}.sock", prefix.display()));
+    let mut server = ServerHandle::spawn(&ServerConfig::new(Endpoint::Uds(socket)))?;
     let mut load = cli.load.clone();
     load.endpoint = server.endpoint().clone();
+    load.connections = connections;
     load.batch = batch;
     load.capture = false;
     let report = loadgen::run(&load)?;
     server.shutdown();
     Ok(SweepPoint {
-        workers,
+        connections,
         batch,
         ops_per_sec: report.ops_per_sec,
     })
@@ -138,10 +138,10 @@ fn bench_point(cli: &Cli, workers: usize, batch: usize) -> std::io::Result<Sweep
 
 fn run_bench(cli: &Cli) -> std::io::Result<()> {
     let mut points = Vec::new();
-    for &workers in &cli.workers_list {
+    for &connections in &cli.connections_list {
         for &batch in &cli.batch_list {
-            let point = bench_point(cli, workers, batch)?;
-            eprintln!("t{workers} b{batch}: {:.0} ops/sec", point.ops_per_sec);
+            let point = bench_point(cli, connections, batch)?;
+            eprintln!("c{connections} b{batch}: {:.0} ops/sec", point.ops_per_sec);
             points.push(point);
         }
     }

@@ -8,7 +8,6 @@
 //!   --listen <EP>     endpoint, e.g. tcp:127.0.0.1:7171 or uds:/tmp/vcf.sock
 //!   --slots <N>       total slot budget (default 1048576)
 //!   --shard-bits <N>  log2 of the shard count (default 4)
-//!   --workers <N>     worker threads; 0 = one per core (default 0)
 //!   --elastic         serve the elastic (ScalableVcf) shard set
 //!   --seed <N>        hash seed (default fixed)
 //! ```
@@ -21,7 +20,7 @@ use vcf_server::{Endpoint, ServerConfig, ServerHandle};
 
 fn usage() -> &'static str {
     "usage: vcf-server --listen <tcp:ADDR|uds:PATH> [--slots N] [--shard-bits N] \
-     [--workers N] [--elastic] [--seed N]"
+     [--elastic] [--seed N]"
 }
 
 fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
@@ -45,11 +44,6 @@ fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
                 config.shard_bits = value("--shard-bits")?
                     .parse()
                     .map_err(|_| "bad --shard-bits value".to_owned())?;
-            }
-            "--workers" => {
-                config.workers = value("--workers")?
-                    .parse()
-                    .map_err(|_| "bad --workers value".to_owned())?;
             }
             "--elastic" => config.elastic = true,
             "--seed" => {
@@ -82,10 +76,9 @@ fn main() -> ExitCode {
     };
     println!("LISTENING {}", server.endpoint());
     println!(
-        "engine={} shards={} workers={} capacity={}",
+        "engine={} shards={} capacity={}",
         server.engine().engine_name(),
         server.engine().shard_count(),
-        server.workers(),
         server.engine().total_capacity()
     );
     // Foreground server: serve until killed. The acceptor thread owns

@@ -1,28 +1,28 @@
-//! Thread-per-core shard-affinity executor.
+//! Connection-thread shard executor.
 //!
 //! The server owns one [`ShardExecutor`] shared by every connection.
-//! Worker thread `w` exclusively executes operations for the shard
-//! group `{s : s % workers == w}` — a key's ops always land on the
-//! thread owning its shard, so shard-local cache lines stay hot on one
-//! core and two workers never contend on the same shard's buckets.
-//! (The offline workspace has no CPU-affinity syscall access, so the
-//! pinning is *data* affinity: the OS may migrate the thread, but the
-//! shard→thread ownership never changes.)
+//! The connection thread that decoded a frame also executes it: it
+//! routes each key by [`ShardEngine::shard_of`], groups the frame's
+//! keys by shard, runs each shard's keys as one
+//! [`ShardEngine::shard_execute`] batch, and sets the per-key outcome
+//! bits in the response bitmap. No other thread takes part: a hand-off
+//! to worker threads costs two cross-thread wake-ups per frame, more
+//! than the filter work of a small frame (DESIGN.md §13.2).
 //!
-//! A connection thread routes each frame's keys by
-//! [`ShardEngine::shard_of`], dispatches one `Job` per involved
-//! worker, then reassembles the per-key outcome bits into the response
-//! bitmap in input order. Per-key ordering is preserved end to end:
-//! a key always maps to one shard and hence one worker, workers keep a
-//! frame's per-shard runs in input order (stable sort), and frames on a
+//! Per-key ordering is preserved end to end: a key always maps to one
+//! shard, a shard's run keeps the frame's input order, and frames on a
 //! connection are strictly serialized by the one-in-flight protocol.
+//! Frames from different connections may run on one shard at the same
+//! time; both served engines are `Sync` (`ConcurrentVcf` claims slots
+//! by CAS and relocates under stripe locks, and each `ScalableVcf`
+//! shard sits behind its own `RwLock`, of which a connection thread
+//! holds at most one at a time).
 //!
 //! This module is on the server hot path and is written panic-free
 //! (checked by `vcf-xtask lint`'s no-panic rule).
 
-use std::sync::mpsc;
+use std::convert::Infallible;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use vcf_core::ShardRouter;
 use vcf_traits::{BatchOpKind, ConcurrentFilter};
@@ -92,204 +92,91 @@ impl<F: ConcurrentFilter> ShardEngine for ShardRouter<F> {
 }
 
 /// One routed key: its frame position, owning shard, and the 8 wire
-/// bytes (kept by value so jobs borrow nothing from the frame buffer).
+/// bytes.
 #[derive(Debug, Clone, Copy)]
 struct Item {
     pos: u32,
-    shard: u16,
+    shard: u32,
     key: [u8; KEY_LEN],
 }
 
-/// One worker's slice of a frame.
-struct Job {
-    op: BatchOpKind,
-    items: Vec<Item>,
-    reply: mpsc::Sender<WorkerReply>,
-}
-
-/// A worker's answer: outcome bit per routed item, plus the (cleared)
-/// item buffer handed back for reuse.
-struct WorkerReply {
-    worker: u32,
-    results: Vec<(u32, bool)>,
-    items: Vec<Item>,
-}
-
-/// The executor went away (worker threads stopped); the server reports
-/// an internal error and closes the connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecutorDown;
-
-/// Per-connection routing scratch: a private reply channel plus one
-/// reusable item buffer per worker, so steady-state frames allocate
-/// nothing on the routing side.
+/// Per-connection routing scratch: the frame's routed keys, reused so
+/// steady-state frames do not regrow it.
 pub struct ExecScratch {
-    reply_tx: mpsc::Sender<WorkerReply>,
-    reply_rx: mpsc::Receiver<WorkerReply>,
-    per_worker: Vec<Vec<Item>>,
+    items: Vec<Item>,
 }
 
-/// Thread-per-core batch executor over an [`ShardEngine`].
+/// Runs each frame's shard batches on the calling connection thread.
 pub struct ShardExecutor {
     engine: Arc<dyn ShardEngine>,
-    senders: Vec<mpsc::Sender<Job>>,
-    handles: Vec<JoinHandle<()>>,
 }
 
 impl ShardExecutor {
-    /// Spawns `workers` worker threads over `engine`, clamped to
-    /// `1..=shard_count` so every worker owns at least one shard.
+    /// An executor over `engine`. The `usize` (once the worker-thread
+    /// count) is ignored: every frame runs on the thread that calls
+    /// [`Self::execute`].
     #[must_use]
-    pub fn new(engine: Arc<dyn ShardEngine>, workers: usize) -> Self {
-        let workers = workers.clamp(1, engine.shard_count().max(1));
-        let mut senders = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for worker in 0..workers {
-            let (tx, rx) = mpsc::channel::<Job>();
-            senders.push(tx);
-            let engine = Arc::clone(&engine);
-            handles.push(std::thread::spawn(move || {
-                worker_loop(&engine, worker as u32, &rx);
-            }));
-        }
-        Self {
-            engine,
-            senders,
-            handles,
-        }
+    pub fn new(engine: Arc<dyn ShardEngine>, _workers: usize) -> Self {
+        Self { engine }
     }
 
-    /// The engine the workers execute against.
+    /// The engine frames execute against.
     #[must_use]
     pub fn engine(&self) -> &Arc<dyn ShardEngine> {
         &self.engine
     }
 
-    /// Number of worker threads.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// Fresh per-connection scratch sized for this executor.
+    /// Fresh per-connection scratch.
     #[must_use]
     pub fn scratch(&self) -> ExecScratch {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        ExecScratch {
-            reply_tx,
-            reply_rx,
-            per_worker: (0..self.workers()).map(|_| Vec::new()).collect(),
-        }
+        ExecScratch { items: Vec::new() }
     }
 
     // lint: hot-path
-    /// Executes one data frame: routes `payload` (concatenated 8-byte
-    /// keys) to the owning workers, blocks for their replies, and sets
-    /// the per-key outcome bits in `bitmap` (which the caller supplies
-    /// zeroed, sized `bitmap_len(count)`).
+    /// Executes one data frame on the calling thread: routes `payload`
+    /// (concatenated 8-byte keys) to shards, runs each shard's keys as
+    /// one batch in input order, and sets the per-key outcome bits in
+    /// `bitmap` (which the caller supplies zeroed, sized
+    /// `bitmap_len(count)`).
     ///
     /// # Errors
     ///
-    /// [`ExecutorDown`] if the worker threads have stopped.
+    /// None; the error type is [`Infallible`].
     pub fn execute(
         &self,
         op: BatchOpKind,
         payload: &[u8],
         scratch: &mut ExecScratch,
         bitmap: &mut [u8],
-    ) -> Result<(), ExecutorDown> {
-        let workers = self.workers();
-        if workers == 0 {
-            return Err(ExecutorDown);
-        }
+    ) -> Result<(), Infallible> {
+        let items = &mut scratch.items;
+        items.clear();
         for (pos, chunk) in payload.chunks_exact(KEY_LEN).enumerate() {
             let mut key = [0u8; KEY_LEN];
             key.copy_from_slice(chunk);
-            let shard = self.engine.shard_of(&key);
-            let item = Item {
+            let shard = self.engine.shard_of(&key) as u32;
+            items.push(Item {
                 pos: pos as u32,
-                shard: shard as u16,
+                shard,
                 key,
-            };
-            if let Some(bucket) = scratch.per_worker.get_mut(shard % workers) {
-                bucket.push(item);
-            }
+            });
         }
-
-        let mut dispatched = 0usize;
-        for (worker, bucket) in scratch.per_worker.iter_mut().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let job = Job {
-                op,
-                items: std::mem::take(bucket),
-                reply: scratch.reply_tx.clone(),
-            };
-            match self.senders.get(worker) {
-                Some(tx) if tx.send(job).is_ok() => dispatched += 1,
-                _ => return Err(ExecutorDown),
-            }
-        }
-
-        for _ in 0..dispatched {
-            let Ok(mut reply) = scratch.reply_rx.recv() else {
-                return Err(ExecutorDown);
-            };
-            for &(pos, bit) in &reply.results {
+        // Positions are unique, so this orders each shard's run by
+        // input position: the stable grouping, without a sort buffer.
+        items.sort_unstable_by_key(|item| (item.shard, item.pos));
+        let mut keys: Vec<&[u8]> = Vec::with_capacity(items.len());
+        for run in items.chunk_by(|a, b| a.shard == b.shard) {
+            let Some(first) = run.first() else { continue };
+            keys.clear();
+            keys.extend(run.iter().map(|item| &item.key[..]));
+            let bits = self.engine.shard_execute(first.shard as usize, op, &keys);
+            for (item, bit) in run.iter().zip(bits) {
                 if bit {
-                    bitmap_set(bitmap, pos as usize);
+                    bitmap_set(bitmap, item.pos as usize);
                 }
-            }
-            reply.items.clear();
-            if let Some(bucket) = scratch.per_worker.get_mut(reply.worker as usize) {
-                *bucket = reply.items;
             }
         }
         Ok(())
-    }
-
-    /// Stops the workers and joins them. Idempotent; also run by drop.
-    pub fn shutdown(&mut self) {
-        self.senders.clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for ShardExecutor {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Worker body: drain jobs until every sender is gone. Items arrive in
-/// frame order; a stable sort groups them by shard while preserving
-/// input order within each shard, then each run executes as one batch
-/// on the shard's prefetch pipeline.
-fn worker_loop(engine: &Arc<dyn ShardEngine>, worker: u32, rx: &mpsc::Receiver<Job>) {
-    while let Ok(mut job) = rx.recv() {
-        job.items.sort_by_key(|item| item.shard);
-        let mut results = Vec::with_capacity(job.items.len());
-        let mut keys: Vec<&[u8]> = Vec::with_capacity(job.items.len());
-        let mut rest: &[Item] = &job.items;
-        while let Some(first) = rest.first() {
-            let shard = first.shard;
-            let run_len = rest.iter().take_while(|item| item.shard == shard).count();
-            let (run, tail) = rest.split_at(run_len);
-            rest = tail;
-            keys.clear();
-            keys.extend(run.iter().map(|item| &item.key[..]));
-            let bits = engine.shard_execute(shard as usize, job.op, &keys);
-            results.extend(run.iter().zip(bits).map(|(item, bit)| (item.pos, bit)));
-        }
-        let reply = WorkerReply {
-            worker,
-            results,
-            items: job.items,
-        };
-        let _ = job.reply.send(reply);
     }
 }
 
@@ -316,8 +203,7 @@ mod tests {
     ) -> Vec<u8> {
         let payload = keys_payload(keys);
         let mut bitmap = vec![0u8; keys.len().div_ceil(8)];
-        exec.execute(op, &payload, scratch, &mut bitmap)
-            .expect("workers alive");
+        let Ok(()) = exec.execute(op, &payload, scratch, &mut bitmap);
         bitmap
     }
 
@@ -332,7 +218,7 @@ mod tests {
         for (keys, overfills) in [(light, false), (overfill, true)] {
             let config = CuckooConfig::new(1 << 10).with_seed(7);
             let oracle = ShardedConcurrentVcf::new(config, 3).expect("config is valid");
-            let exec = ShardExecutor::new(test_engine(), 3);
+            let exec = ShardExecutor::new(test_engine(), 0);
             let mut scratch = exec.scratch();
             let key_bytes: Vec<[u8; 8]> = keys.iter().map(|k| k.to_le_bytes()).collect();
             let key_refs: Vec<&[u8]> = key_bytes.iter().map(|k| &k[..]).collect();
@@ -364,7 +250,7 @@ mod tests {
 
     #[test]
     fn duplicate_keys_in_one_frame_keep_input_order() {
-        let exec = ShardExecutor::new(test_engine(), 2);
+        let exec = ShardExecutor::new(test_engine(), 0);
         let mut scratch = exec.scratch();
         // Two copies inserted, then three deletes: exactly two succeed.
         let dup = [42u64, 42, 7];
@@ -379,29 +265,8 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_is_clamped_to_shard_count() {
-        let exec = ShardExecutor::new(test_engine(), 64);
-        assert_eq!(exec.workers(), 8); // 3 shard bits
-        let exec = ShardExecutor::new(test_engine(), 0);
-        assert_eq!(exec.workers(), 1);
-    }
-
-    #[test]
-    fn shutdown_then_execute_reports_down() {
-        let mut exec = ShardExecutor::new(test_engine(), 2);
-        let mut scratch = exec.scratch();
-        exec.shutdown();
-        let payload = keys_payload(&[1, 2, 3]);
-        let mut bitmap = vec![0u8; 1];
-        assert_eq!(
-            exec.execute(BatchOpKind::Insert, &payload, &mut scratch, &mut bitmap),
-            Err(ExecutorDown)
-        );
-    }
-
-    #[test]
     fn empty_payload_is_a_no_op() {
-        let exec = ShardExecutor::new(test_engine(), 2);
+        let exec = ShardExecutor::new(test_engine(), 0);
         let mut scratch = exec.scratch();
         let mut bitmap = [0u8; 0];
         assert_eq!(

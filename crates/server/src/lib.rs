@@ -8,9 +8,8 @@
 //!   malformed-frame classification;
 //! * [`codec`] — stream framing over TCP/Unix-domain sockets, plus the
 //!   blocking [`codec::Client`];
-//! * [`executor`] — the thread-per-core shard-affinity executor: each
-//!   worker thread exclusively owns a shard group, so a key's ops always
-//!   execute on the thread holding its shard's cache lines;
+//! * [`executor`] — runs each frame's per-shard batches on the
+//!   connection thread that decoded it;
 //! * [`server`] — accept loop, per-connection frame loop, engine
 //!   construction ([`vcf_core::ShardedConcurrentVcf`] by default,
 //!   [`vcf_core::ShardedScalableVcf`] with `--elastic`);
@@ -32,7 +31,7 @@ pub mod protocol;
 pub mod server;
 
 pub use codec::{Client, Endpoint, Frame, FrameReader, Reply, WireStream};
-pub use executor::{ExecScratch, ExecutorDown, ShardEngine, ShardExecutor};
+pub use executor::{ExecScratch, ShardEngine, ShardExecutor};
 pub use loadgen::{ConnCapture, LoadgenConfig, LoadgenReport, SweepPoint, WorkloadKind};
 pub use metrics::{MetricsSnapshot, ServerMetrics, StopFlag};
 pub use protocol::{OpCode, RequestHeader, ResponseHeader, WireError, MAX_BATCH};

@@ -333,8 +333,8 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
 /// One benchmark sweep point.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepPoint {
-    /// Server worker threads.
-    pub workers: usize,
+    /// Concurrent client connections.
+    pub connections: usize,
     /// Keys per frame.
     pub batch: usize,
     /// Measured server-side throughput.
@@ -349,7 +349,7 @@ pub fn sweep_json(transport: &str, points: &[SweepPoint]) -> String {
         .iter()
         .map(|p| {
             (
-                format!("server/{transport}/mixed/t{}/b{}", p.workers, p.batch),
+                format!("server/{transport}/mixed/c{}/b{}", p.connections, p.batch),
                 p.ops_per_sec,
             )
         })
@@ -447,19 +447,19 @@ mod tests {
             "uds",
             &[
                 SweepPoint {
-                    workers: 2,
+                    connections: 2,
                     batch: 256,
                     ops_per_sec: 1000.5,
                 },
                 SweepPoint {
-                    workers: 1,
+                    connections: 1,
                     batch: 1,
                     ops_per_sec: 10.25,
                 },
             ],
         );
-        let first = json.find("server/uds/mixed/t1/b1").unwrap();
-        let second = json.find("server/uds/mixed/t2/b256").unwrap();
+        let first = json.find("server/uds/mixed/c1/b1").unwrap();
+        let second = json.find("server/uds/mixed/c2/b256").unwrap();
         assert!(first < second);
         assert!(json.ends_with("}\n"));
     }

@@ -1,10 +1,10 @@
 //! The filter server: accept loop, per-connection frame loop, and
 //! engine construction.
 //!
-//! Threading model: one acceptor thread, one frame-loop thread per
-//! connection, and the [`ShardExecutor`]'s worker threads (the only
-//! threads that touch filter shards). Connection threads do socket I/O
-//! and wire routing; workers do filter work with shard affinity.
+//! Threading model: one acceptor thread and one frame-loop thread per
+//! connection. A connection thread does its socket I/O, decoding and
+//! routing, and runs the frame's filter work itself through the shared
+//! [`ShardExecutor`]; no other thread touches the filter shards.
 //!
 //! Backpressure is structural: the protocol is strictly one request in
 //! flight per connection (a client must read the response before the
@@ -35,8 +35,8 @@ pub struct ServerConfig {
     pub slots: usize,
     /// log2 of the shard count.
     pub shard_bits: u32,
-    /// Worker threads; `0` means one per available core (clamped to the
-    /// shard count either way).
+    /// Ignored: each frame runs on its connection thread. Kept so
+    /// existing callers still build.
     pub workers: usize,
     /// Serve a [`ShardedScalableVcf`] (elastic, segment-growing) shard
     /// set instead of the fixed-capacity lock-free one.
@@ -47,7 +47,7 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// Defaults tuned for the smoke tests: 2^20 slots, 16 shards,
-    /// auto workers, fixed-capacity engine.
+    /// fixed-capacity engine.
     #[must_use]
     pub fn new(endpoint: Endpoint) -> Self {
         Self {
@@ -64,15 +64,6 @@ impl ServerConfig {
     #[must_use]
     pub fn cuckoo_config(&self) -> CuckooConfig {
         CuckooConfig::with_total_slots(self.slots).with_seed(self.seed)
-    }
-
-    /// Resolved worker count: explicit, or one per available core.
-    #[must_use]
-    pub fn resolved_workers(&self) -> usize {
-        if self.workers > 0 {
-            return self.workers;
-        }
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     }
 }
 
@@ -169,7 +160,7 @@ impl ServerHandle {
         engine: Arc<dyn ShardEngine>,
     ) -> io::Result<Self> {
         let (listener, endpoint) = Listener::bind(&config.endpoint)?;
-        let executor = Arc::new(ShardExecutor::new(engine, config.resolved_workers()));
+        let executor = Arc::new(ShardExecutor::new(engine, 0));
         let metrics = Arc::new(ServerMetrics::new());
         let stop = Arc::new(StopFlag::new());
         let uds_path = match &endpoint {
@@ -206,12 +197,6 @@ impl ServerHandle {
     #[must_use]
     pub fn engine(&self) -> &Arc<dyn ShardEngine> {
         self.executor.engine()
-    }
-
-    /// Worker threads serving filter ops.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.executor.workers()
     }
 
     /// Current counters.
@@ -323,15 +308,8 @@ fn serve_frames<R: Read, W: Write>(
                         metrics.record_data_frame(op, u64::from(count));
                         bitmap.clear();
                         bitmap.resize(bitmap_len(count as usize), 0);
-                        match executor.execute(op, payload, &mut scratch, &mut bitmap) {
-                            Ok(()) => encode_response(&mut resp, status::OK, count, &bitmap),
-                            Err(_) => {
-                                encode_response(&mut resp, status::INTERNAL, 0, &[]);
-                                writer.write_all(&resp)?;
-                                writer.flush()?;
-                                return Ok(());
-                            }
-                        }
+                        let Ok(()) = executor.execute(op, payload, &mut scratch, &mut bitmap);
+                        encode_response(&mut resp, status::OK, count, &bitmap);
                     }
                     None => {
                         metrics.record_control_frame();
@@ -359,8 +337,8 @@ fn serve_frames<R: Read, W: Write>(
 }
 
 /// The 8 little-endian `u64` words of a stats reply, in wire order:
-/// `len`, `capacity`, `shards`, `workers`, `frames`, `data_keys`,
-/// `proto_errors`, `connections`.
+/// `len`, `capacity`, `shards`, reserved (always 0; was worker
+/// threads), `frames`, `data_keys`, `proto_errors`, `connections`.
 fn stats_payload(executor: &ShardExecutor, metrics: &ServerMetrics) -> [u8; STATS_WORDS * 8] {
     let engine = executor.engine();
     let snap = metrics.snapshot();
@@ -368,7 +346,7 @@ fn stats_payload(executor: &ShardExecutor, metrics: &ServerMetrics) -> [u8; STAT
         engine.total_len() as u64,
         engine.total_capacity() as u64,
         engine.shard_count() as u64,
-        executor.workers() as u64,
+        0,
         snap.frames,
         snap.data_keys(),
         snap.proto_errors,
@@ -433,7 +411,6 @@ mod tests {
         let mut config = ServerConfig::new(endpoint);
         config.slots = 1 << 12;
         config.shard_bits = 2;
-        config.workers = 2;
         config
     }
 
@@ -457,7 +434,7 @@ mod tests {
         let stats = client.stats().expect("stats");
         assert_eq!(stats[0], 0, "len after deletes");
         assert_eq!(stats[2], 4, "shards");
-        assert_eq!(stats[3], 2, "workers");
+        assert_eq!(stats[3], 0, "reserved");
 
         server.shutdown();
         let snap = server.metrics();
@@ -500,7 +477,7 @@ mod tests {
     fn malformed_bad_opcode_recovers_bad_magic_closes() {
         let config = test_config(Endpoint::Tcp("127.0.0.1:0".to_owned()));
         let engine = build_engine(&config).expect("engine");
-        let executor = ShardExecutor::new(engine, 2);
+        let executor = ShardExecutor::new(engine, 0);
 
         // Bad opcode with a drainable 1-key payload, then a valid ping:
         // server answers BAD_OPCODE then OK.
@@ -558,7 +535,7 @@ mod tests {
         let config = test_config(Endpoint::Tcp("127.0.0.1:0".to_owned()));
         let engine = build_engine(&config).expect("engine");
         let capacity = engine.total_capacity() as u64;
-        let executor = ShardExecutor::new(engine, 2);
+        let executor = ShardExecutor::new(engine, 0);
         let metrics = ServerMetrics::new();
         let payload = stats_payload(&executor, &metrics);
         let word = |i: usize| {
@@ -569,6 +546,6 @@ mod tests {
         assert_eq!(word(0), 0, "len");
         assert_eq!(word(1), capacity);
         assert_eq!(word(2), 4, "shards");
-        assert_eq!(word(3), 2, "workers");
+        assert_eq!(word(3), 0, "reserved");
     }
 }

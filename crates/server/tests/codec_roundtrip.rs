@@ -22,7 +22,7 @@ fn test_executor() -> ShardExecutor {
     config.slots = 1 << 12;
     config.shard_bits = 2;
     config.seed = 99;
-    ShardExecutor::new(build_engine(&config).expect("valid geometry"), 2)
+    ShardExecutor::new(build_engine(&config).expect("valid geometry"), 0)
 }
 
 fn header_bytes(magic: u16, version: u8, opcode: u8, count: u32) -> [u8; HEADER_LEN] {

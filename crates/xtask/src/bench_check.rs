@@ -1,15 +1,15 @@
 //! `vcf-xtask bench-check`: schema validation for the committed bench
 //! baselines.
 //!
-//! The perf trajectory lives in `BENCH_insert.json` and
-//! `BENCH_server.json` as flat `"group/sub/name" → mean ns` maps. Two
-//! failure modes have bitten bench baselines in other repos: a harness
-//! change silently *dropping* groups (the file shrinks and nobody
-//! notices the lost coverage), and a serialization bug committing
-//! zero/negative/NaN timings. This check pins both: every key must
-//! live under a known group prefix, every value must be a positive
-//! finite ns figure, and the entry count must not fall below the
-//! committed baseline floor. Raise the floor when benches are added.
+//! The perf trajectory lives in two flat `"group/sub/name" → value`
+//! maps: `BENCH_insert.json` holds mean ns per op, `BENCH_server.json`
+//! ops/sec per sweep point. Two failure modes have bitten bench
+//! baselines in other repos: a harness change silently *dropping*
+//! groups (the file shrinks and nobody notices the lost coverage), and
+//! a serialization bug committing zero/negative/NaN figures. This check
+//! pins both: every key must live under a known group prefix, every
+//! value must be a positive finite number, and the entry count must not
+//! fall below the committed baseline floor. Raise the floor when benches are added.
 //! Lower it only in the change that retires a bench group, and say in
 //! that change which ids went and why.
 
@@ -79,15 +79,12 @@ pub fn check_doc(schema: &BenchSchema, text: &str) -> Vec<String> {
             ));
         }
         match value {
-            Value::Num(ns) if ns.is_finite() && *ns > 0.0 => {}
-            Value::Num(ns) => problems.push(format!(
-                "{}: `{key}` = {ns} is not a positive finite ns value",
+            Value::Num(x) if x.is_finite() && *x > 0.0 => {}
+            Value::Num(x) => problems.push(format!(
+                "{}: `{key}` = {x} is not a positive finite value",
                 schema.rel
             )),
-            _ => problems.push(format!(
-                "{}: `{key}` must be a number of nanoseconds",
-                schema.rel
-            )),
+            _ => problems.push(format!("{}: `{key}` must be a number", schema.rel)),
         }
     }
     if pairs.len() < schema.min_entries {

@@ -2,7 +2,7 @@
 //! driven by the loadgen, differentially checked against an in-process
 //! oracle.
 //!
-//! Two legs:
+//! Three legs:
 //!
 //! 1. **Bit-for-bit** — one connection replays a captured ≥100k-op
 //!    mixed trace; an identically-configured in-process
@@ -14,12 +14,20 @@
 //!    the invariant checked is the filter's own: zero false negatives
 //!    (every key the server acknowledged as stored-and-not-deleted is
 //!    found afterwards) and zero protocol errors.
+//! 3. **Kick race** — four connections churn their own keys over a
+//!    4-shard engine prefilled to 95 %, so kick walks run by different
+//!    connection threads race on the same shard. Every acknowledged key
+//!    must be found (mid-race and afterwards), the stored count must
+//!    equal prefill + acknowledged inserts − acknowledged deletes, and
+//!    no frame may be a protocol error. Runs on both engines.
 
 use std::path::PathBuf;
-use vcf_core::ShardedConcurrentVcf;
+use std::sync::Arc;
+use vcf_core::{CuckooConfig, ShardRouter, ShardedConcurrentVcf, ShardedScalableVcf};
 use vcf_server::loadgen::{self, LoadgenConfig, WorkloadKind};
 use vcf_server::protocol::{bitmap_get, OpCode};
 use vcf_server::{Client, Endpoint, ServerConfig, ServerHandle};
+use vcf_traits::ConcurrentFilter;
 
 fn socket_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("vcf-smoke-{tag}-{}.sock", std::process::id()))
@@ -29,7 +37,6 @@ fn smoke_server_config(tag: &str) -> ServerConfig {
     let mut config = ServerConfig::new(Endpoint::Uds(socket_path(tag)));
     config.slots = 1 << 18;
     config.shard_bits = 3;
-    config.workers = 3;
     config.seed = 0x5155_AC4E;
     config
 }
@@ -184,4 +191,139 @@ fn uds_malformed_frames_are_survivable_on_a_live_socket() {
     assert!(fresh.ping().expect("fresh connection"));
     assert_eq!(server.metrics().proto_errors, 2);
     server.shutdown();
+}
+
+/// Keys per frame and rounds per connection in the kick race.
+const RACE_BATCH: usize = 16;
+const RACE_ROUNDS: usize = 150;
+const RACE_CONNECTIONS: u64 = 4;
+
+/// A key owned by `owner` (top byte), distinct for each `i`.
+fn race_key(owner: u64, i: u64) -> u64 {
+    (owner << 56) | (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 8)
+}
+
+/// One race connection's acknowledged outcomes.
+struct RaceTally {
+    /// Keys acknowledged as inserted and not yet deleted, oldest first.
+    live: Vec<u64>,
+    inserted: u64,
+    deleted: u64,
+}
+
+/// Rounds of insert-fresh, look-up-all-live, delete-oldest on keys only
+/// connection `conn` uses. Panics on any false negative or on a delete
+/// of a live key that the server refuses.
+fn race_connection(endpoint: &Endpoint, conn: u64) -> RaceTally {
+    let mut client = Client::connect(endpoint).expect("connect");
+    let mut tally = RaceTally {
+        live: Vec::new(),
+        inserted: 0,
+        deleted: 0,
+    };
+    let mut next = 0u64;
+    for _ in 0..RACE_ROUNDS {
+        let fresh: Vec<u64> = (0..RACE_BATCH)
+            .map(|_| {
+                next += 1;
+                race_key(0x10 | conn, next)
+            })
+            .collect();
+        let reply = client.data_op(OpCode::Insert, &fresh).expect("insert");
+        for (i, &key) in fresh.iter().enumerate() {
+            if reply.bit(i) {
+                tally.live.push(key);
+                tally.inserted += 1;
+            }
+        }
+        if !tally.live.is_empty() {
+            let reply = client.data_op(OpCode::Lookup, &tally.live).expect("lookup");
+            for (i, key) in tally.live.iter().enumerate() {
+                assert!(reply.bit(i), "mid-race false negative for {key:#x}");
+            }
+        }
+        if tally.live.len() > 2 * RACE_BATCH {
+            let oldest: Vec<u64> = tally.live.drain(..RACE_BATCH).collect();
+            let reply = client.data_op(OpCode::Delete, &oldest).expect("delete");
+            for (i, key) in oldest.iter().enumerate() {
+                assert!(reply.bit(i), "delete of live key {key:#x} refused");
+            }
+            tally.deleted += oldest.len() as u64;
+        }
+    }
+    tally
+}
+
+/// Prefills `engine` to 95 % of its capacity, serves it, races
+/// [`RACE_CONNECTIONS`] churning connections over it, and checks zero
+/// false negatives, exact occupancy and zero protocol errors.
+fn kick_race<F: ConcurrentFilter + 'static>(tag: &str, engine: Arc<ShardRouter<F>>) {
+    let prefill: Vec<[u8; 8]> = (0..engine.capacity() as u64 * 95 / 100)
+        .map(|i| race_key(0xF0, i).to_le_bytes())
+        .collect();
+    let refs: Vec<&[u8]> = prefill.iter().map(|k| &k[..]).collect();
+    let stored = engine
+        .insert_batch(&refs)
+        .iter()
+        .filter(|r| r.is_ok())
+        .count() as u64;
+    let kicks_before = engine.stats().kicks;
+
+    let config = smoke_server_config(tag);
+    let mut server =
+        ServerHandle::spawn_with_engine(&config, Arc::clone(&engine) as _).expect("spawn server");
+    let endpoint = server.endpoint().clone();
+    let tallies: Vec<RaceTally> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..RACE_CONNECTIONS)
+            .map(|conn| {
+                let endpoint = &endpoint;
+                scope.spawn(move || race_connection(endpoint, conn))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("race connection panicked"))
+            .collect()
+    });
+    assert!(
+        engine.stats().kicks > kicks_before,
+        "the race ran no kick walk"
+    );
+
+    let mut client = Client::connect(server.endpoint()).expect("verify connection");
+    let live: Vec<u64> = tallies
+        .iter()
+        .flat_map(|t| t.live.iter().copied())
+        .collect();
+    for chunk in live.chunks(256) {
+        let reply = client.data_op(OpCode::Lookup, chunk).expect("lookup");
+        for (i, key) in chunk.iter().enumerate() {
+            assert!(reply.bit(i), "false negative for acknowledged key {key:#x}");
+        }
+    }
+    let inserted: u64 = tallies.iter().map(|t| t.inserted).sum();
+    let deleted: u64 = tallies.iter().map(|t| t.deleted).sum();
+    assert!(deleted > 0, "the race deleted nothing");
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats[0], stored + inserted - deleted, "occupancy");
+    assert_eq!(stats[6], 0, "proto_errors stats word");
+    assert_eq!(server.metrics().proto_errors, 0);
+    drop(client);
+    server.shutdown();
+}
+
+fn race_cuckoo_config() -> CuckooConfig {
+    CuckooConfig::with_total_slots(1 << 12).with_seed(0x0B1C_4E55)
+}
+
+#[test]
+fn uds_kick_walks_race_on_shared_shards_fixed_engine() {
+    let engine = ShardedConcurrentVcf::new(race_cuckoo_config(), 2).expect("config");
+    kick_race("race-fixed", Arc::new(engine));
+}
+
+#[test]
+fn uds_kick_walks_race_on_shared_shards_elastic_engine() {
+    let engine = ShardedScalableVcf::new(race_cuckoo_config(), 2).expect("config");
+    kick_race("race-elastic", Arc::new(engine));
 }
