@@ -6,12 +6,18 @@
 //! [`Filter::insert_batch`] path (hash + prefetch a window up front)
 //! against the plain serial loop on the same key set. Both cover the
 //! sequential filters and the lock-free `ConcurrentVcf` the server runs.
+//! An `insert/router` group bulk-loads a sharded router through
+//! [`ShardRouter::insert_batch`], which spreads a large batch's shard
+//! groups over the cores, against a per-shard serial loop.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use vcf_baselines::{BloomConfig, BloomFilter, CuckooFilter, DaryCuckooFilter};
 use vcf_bench::{bench_keys, BATCH_SLOTS_LOG2, BENCH_SLOTS_LOG2};
-use vcf_core::{ConcurrentVcf, CuckooConfig, Dvcf, KVcf, VerticalCuckooFilter};
-use vcf_traits::Filter;
+use vcf_core::{
+    ConcurrentVcf, CuckooConfig, Dvcf, KVcf, ShardRouter, ShardedConcurrentVcf,
+    VerticalCuckooFilter,
+};
+use vcf_traits::{ConcurrentFilter, Filter, InsertError};
 
 fn config() -> CuckooConfig {
     CuckooConfig::with_total_slots(1 << BENCH_SLOTS_LOG2).with_seed(42)
@@ -81,6 +87,73 @@ fn bench_batch<F: Filter>(c: &mut Criterion, label: &str, fraction: f64, make: i
     g.finish();
 }
 
+/// Bulk load of a 2^20-slot, 16-shard [`ShardedConcurrentVcf`] to 90 %
+/// in 65,536-key batches. The first row goes through
+/// [`ShardRouter::insert_batch`]; the `_shard_loop` row is the serial
+/// reference written out here: group each batch by shard, run one
+/// `insert_batch` per shard in turn, and put the results back in input
+/// order.
+fn bench_router(c: &mut Criterion) {
+    const SLOTS: usize = 1 << 20;
+    const BATCH: usize = 1 << 16;
+    let n = SLOTS * 9 / 10;
+    let keys = bench_keys(n, 7);
+    let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+    let make = || {
+        ShardedConcurrentVcf::new(CuckooConfig::with_total_slots(SLOTS).with_seed(42), 4).unwrap()
+    };
+    let label = "ShardedConcurrentVCF[16]";
+    let mut g = c.benchmark_group("insert/router");
+    g.throughput(criterion::Throughput::Elements(n as u64));
+    g.bench_function(BenchmarkId::from_parameter(label), |b| {
+        b.iter_batched(
+            make,
+            |filter| {
+                for batch in refs.chunks(BATCH) {
+                    std::hint::black_box(filter.insert_batch(batch));
+                }
+                filter
+            },
+            BatchSize::LargeInput,
+        );
+    });
+    g.bench_function(
+        BenchmarkId::from_parameter(format!("{label}_shard_loop")),
+        |b| {
+            b.iter_batched(
+                make,
+                |filter| {
+                    for batch in refs.chunks(BATCH) {
+                        std::hint::black_box(shard_loop(&filter, batch));
+                    }
+                    filter
+                },
+                BatchSize::LargeInput,
+            );
+        },
+    );
+    g.finish();
+}
+
+/// One batch through each shard's own `insert_batch`, shard after shard.
+fn shard_loop<F: ConcurrentFilter>(
+    router: &ShardRouter<F>,
+    batch: &[&[u8]],
+) -> Vec<Result<(), InsertError>> {
+    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); router.shard_count()];
+    for (pos, key) in batch.iter().enumerate() {
+        groups[router.shard_of(key)].push(pos);
+    }
+    let mut out = vec![Ok(()); batch.len()];
+    for (shard, group) in router.shards().iter().zip(&groups) {
+        let keys: Vec<&[u8]> = group.iter().map(|&pos| batch[pos]).collect();
+        for (&pos, result) in group.iter().zip(shard.insert_batch(&keys)) {
+            out[pos] = result;
+        }
+    }
+    out
+}
+
 fn insert_benches(c: &mut Criterion) {
     for &(group, fraction) in &[
         ("insert/fill50", 0.5),
@@ -126,6 +199,7 @@ fn insert_benches(c: &mut Criterion) {
     bench_batch(c, "ConcurrentVCF", 0.5, move || {
         ConcurrentVcf::new(batch_config()).unwrap()
     });
+    bench_router(c);
 }
 
 criterion_group! {

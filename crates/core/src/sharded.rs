@@ -22,7 +22,9 @@ use crate::concurrent::ConcurrentVcf;
 use crate::config::CuckooConfig;
 use crate::scalable::ScalableVcf;
 use crate::vcf::VerticalCuckooFilter;
-use std::sync::RwLock;
+use std::num::NonZeroUsize;
+use std::sync::{Mutex, OnceLock, PoisonError, RwLock};
+use std::thread;
 use vcf_hash::mix64;
 use vcf_traits::{BuildError, ConcurrentFilter, Filter, InsertError, Stats};
 
@@ -31,6 +33,18 @@ const SHARD_SALT: u64 = 0x5348_4152_4421; // "SHARD!"
 
 /// Most shard bits a router accepts (65,536 shards).
 const MAX_SHARD_BITS: u32 = 16;
+
+/// Smallest batch [`ShardRouter`] spreads over threads. A scoped
+/// spawn+join costs ~55 µs (median; ~250 µs at p99) on the 2-vCPU
+/// reference host, while a lookup, the cheapest shard op, costs ~45 ns
+/// of shard work at 2^20 slots: a batch this size has ~7× the spawn cost
+/// to split. The 256- and 1,024-key batches of served frames and lookup
+/// benches stay on the calling thread.
+const MIN_PARALLEL_BATCH: usize = 1 << 14;
+
+/// Low bits of a routing entry that hold the key's input position; the
+/// shard index sits above them (at most [`MAX_SHARD_BITS`] bits).
+const POS_BITS: u32 = 48;
 
 /// A keyspace router over `2^shard_bits` independent concurrent filters.
 ///
@@ -157,34 +171,129 @@ impl<F> ShardRouter<F> {
         (mix64(h ^ SHARD_SALT) & self.shard_mask) as usize
     }
 
-    /// Routes the whole batch first, then visits each touched shard
-    /// **once**, running `run` over its group (one lock acquisition / one
-    /// prefetch pipeline pass per shard), and scatters the per-item
-    /// results back into input order. Each group keeps input order, so
-    /// duplicate keys behave exactly like the serial loop.
-    fn scatter<T: Clone>(
+    /// Routes `items` and returns one `shard << POS_BITS | pos` entry
+    /// per item, grouped by shard with each group in input order. The
+    /// grouping is a stable radix sort on the shard index, one 8-bit
+    /// digit per pass: its cost grows with the batch and the shard bits,
+    /// never with the shard count.
+    fn group_by_shard(&self, items: &[&[u8]]) -> Vec<u64> {
+        debug_assert!((items.len() as u64) < 1 << POS_BITS);
+        let mut order: Vec<u64> = items
+            .iter()
+            .enumerate()
+            .map(|(pos, item)| (self.shard_of(item) as u64) << POS_BITS | pos as u64)
+            .collect();
+        let mut sorted = vec![0; order.len()];
+        for shift in (0..self.shard_mask.count_ones()).step_by(8) {
+            let digit = |entry: u64| (entry >> (POS_BITS + shift)) as u8 as usize;
+            let mut next = [0usize; 256];
+            for &entry in &order {
+                next[digit(entry)] += 1;
+            }
+            let mut start = 0;
+            for slot in &mut next {
+                (*slot, start) = (start, start + *slot);
+            }
+            for &entry in &order {
+                let slot = &mut next[digit(entry)];
+                sorted[*slot] = entry;
+                *slot += 1;
+            }
+            std::mem::swap(&mut order, &mut sorted);
+        }
+        order
+    }
+
+    /// Routes the whole batch first, then runs each touched shard's group
+    /// as **one** `run` call (one lock acquisition / one prefetch
+    /// pipeline pass per shard) and scatters its results back into input
+    /// order as soon as that shard finishes. Each group keeps input
+    /// order, so duplicate keys behave exactly like the serial loop.
+    ///
+    /// A batch of at least [`MIN_PARALLEL_BATCH`] keys spreads its
+    /// groups over up to [`parallelism`] scoped threads, cut by key
+    /// count; the calling thread runs the first part, and a smaller
+    /// batch runs wholly on it. Shards are disjoint and each group runs
+    /// whole on one thread, so results, table words, PRNG streams and
+    /// `Stats` are those of visiting the shards one after another. If the
+    /// OS refuses a thread, its part runs on the calling thread.
+    fn scatter<T: Clone + Send>(
         &self,
         items: &[&[u8]],
         fill: T,
-        run: impl Fn(&F, &[&[u8]]) -> Vec<T>,
-    ) -> Vec<T> {
+        run: impl Fn(&F, &[&[u8]]) -> Vec<T> + Sync,
+    ) -> Vec<T>
+    where
+        F: Sync,
+    {
         debug_assert!(self.shard_mask as usize == self.shards.len() - 1);
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (pos, item) in items.iter().enumerate() {
-            groups[self.shard_of(item)].push(pos);
-        }
-        let mut out = vec![fill; items.len()];
-        for (shard, group) in self.shards.iter().zip(&groups) {
-            if group.is_empty() {
-                continue;
+        let order = self.group_by_shard(items);
+        let runs: Vec<&[u64]> = order
+            .chunk_by(|a, b| a >> POS_BITS == b >> POS_BITS)
+            .collect();
+        let threads = if items.len() < MIN_PARALLEL_BATCH {
+            1
+        } else {
+            parallelism().min(runs.len())
+        };
+        let out = Mutex::new(vec![fill; items.len()]);
+        let work = |part: &[&[u64]]| {
+            let mut keys: Vec<&[u8]> = Vec::new();
+            for group in part {
+                keys.clear();
+                keys.extend(group.iter().map(|&entry| items[position(entry)]));
+                let results = run(&self.shards[(group[0] >> POS_BITS) as usize], &keys);
+                let mut out = out.lock().unwrap_or_else(PoisonError::into_inner);
+                for (&entry, result) in group.iter().zip(results) {
+                    out[position(entry)] = result;
+                }
             }
-            let shard_items: Vec<&[u8]> = group.iter().map(|&pos| items[pos]).collect();
-            for (&pos, result) in group.iter().zip(run(shard, &shard_items)) {
-                out[pos] = result;
+        };
+        thread::scope(|scope| {
+            let parts = split_by_keys(&runs, threads);
+            if let Some((first, rest)) = parts.split_first() {
+                for &part in rest {
+                    // A thread the OS refuses costs parallelism, not results.
+                    if thread::Builder::new()
+                        .spawn_scoped(scope, || work(part))
+                        .is_err()
+                    {
+                        work(part);
+                    }
+                }
+                work(first);
             }
-        }
-        out
+        });
+        out.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
+}
+
+/// The input position stored in a routing entry.
+fn position(entry: u64) -> usize {
+    (entry & ((1 << POS_BITS) - 1)) as usize
+}
+
+/// Cores a batch may use, read once: `available_parallelism` reads
+/// cgroup files on every call.
+fn parallelism() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// Cuts shard runs into at most `parts` contiguous slices of about
+/// equal key count; a run is never split.
+fn split_by_keys<'a>(runs: &'a [&'a [u64]], parts: usize) -> Vec<&'a [&'a [u64]]> {
+    let total: usize = runs.iter().map(|run| run.len()).sum();
+    let mut cuts = Vec::with_capacity(parts);
+    let (mut start, mut done) = (0, 0);
+    for (i, run) in runs.iter().enumerate() {
+        done += run.len();
+        if done * parts >= (cuts.len() + 1) * total {
+            cuts.push(&runs[start..=i]);
+            start = i + 1;
+        }
+    }
+    cuts
 }
 
 impl ShardedVcf {
@@ -633,6 +742,51 @@ mod tests {
         let serial_deleted: Vec<_> = half.iter().map(|k| serial.delete(k)).collect();
         assert_eq!(batch_deleted, serial_deleted);
         assert_eq!(batched.len(), serial.len());
+    }
+
+    #[test]
+    fn small_batches_on_the_widest_router_match_serial_ops() {
+        // 2^16 shards: grouping must not cost a pass over every shard,
+        // and a few keys (one repeated) still land exactly as the serial
+        // loop puts them.
+        let config = CuckooConfig::new(1 << 18).with_seed(9);
+        let batched = ShardedVcf::new(config, MAX_SHARD_BITS).unwrap();
+        let serial = ShardedVcf::new(config, MAX_SHARD_BITS).unwrap();
+        let keys: Vec<Vec<u8>> = [1, 2, 3, 2, 4].into_iter().map(key).collect();
+        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+        assert_eq!(
+            batched.insert_batch(&refs),
+            refs.iter().map(|k| serial.insert(k)).collect::<Vec<_>>()
+        );
+        assert_eq!(batched.insert_batch(&refs[..1]), vec![Ok(())]);
+        serial.insert(refs[0]).unwrap();
+        assert_eq!(batched.len(), serial.len());
+        assert_eq!(batched.contains_batch(&refs), vec![true; refs.len()]);
+        assert!(refs.iter().all(|k| serial.contains_batch(&[k]) == [true]));
+        let deleted = batched.delete_batch(&refs);
+        assert_eq!(
+            deleted,
+            refs.iter().map(|k| serial.delete(k)).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            (batched.len(), batched.stats()),
+            (serial.len(), serial.stats())
+        );
+        assert_eq!(batched.contains_batch(&[]), Vec::<bool>::new());
+    }
+
+    #[test]
+    fn split_by_keys_balances_key_counts_without_splitting_runs() {
+        let entries: Vec<u64> = (0..10).collect();
+        let runs: Vec<&[u64]> = vec![&entries[..1], &entries[1..6], &entries[6..8], &entries[8..]];
+        let cuts = split_by_keys(&runs, 2);
+        assert_eq!(cuts, vec![&runs[..2], &runs[2..]]);
+        // More parts than runs: no empty part, every run exactly once.
+        let cuts = split_by_keys(&runs, 8);
+        assert!(cuts.iter().all(|part| !part.is_empty()));
+        assert_eq!(cuts.concat(), runs);
+        assert_eq!(split_by_keys(&runs, 1), vec![&runs[..]]);
+        assert!(split_by_keys(&[], 2).is_empty());
     }
 
     #[test]

@@ -30,16 +30,17 @@ pub struct BenchSchema {
 }
 
 /// The committed baselines and their schemas. Floors match the files:
-/// 54 insert-side entries (45 until the BFS-eviction and bulk-build
+/// 56 insert-side entries (45 until the BFS-eviction and bulk-build
 /// rows were retired with the code they measured, then 39 until the
 /// `insert/batch/ConcurrentVCF` pair was added, then 41 until the
 /// `insert/fill*/ConcurrentVCF` legs were, then 44 until the ten
-/// `sketch/*` classic-vs-vertical legs were), 12 server sweep points.
+/// `sketch/*` classic-vs-vertical legs were, then 54 until the
+/// `insert/router` pair was), 12 server sweep points.
 pub const SCHEMAS: &[BenchSchema] = &[
     BenchSchema {
         rel: "BENCH_insert.json",
         groups: &["insert", "churn", "tiered", "sketch"],
-        min_entries: 54,
+        min_entries: 56,
     },
     BenchSchema {
         rel: "BENCH_server.json",
