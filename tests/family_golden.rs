@@ -236,6 +236,16 @@ fn all_digests() -> Vec<(&'static str, u64, [u64; 2])> {
                 kvcf_state,
             ),
         ));
+        // f = 32 plus an 8-bit mark: a 40-bit lane, wider than a `u32`.
+        out.push((
+            "255-VCF/f=32",
+            seed,
+            digests(
+                |s| KVcf::new(config(s).with_fingerprint_bits(32), 255).unwrap(),
+                seed,
+                kvcf_state,
+            ),
+        ));
         out.push((
             "ScalableVCF",
             seed,
@@ -292,6 +302,7 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("2-VCF", 1, 0xbd13_8ce6_360c_d427),
     ("6-VCF", 1, 0xa5b3_5e8b_49f8_697a),
     ("8-VCF/MAX=0", 1, 0x1790_518d_3703_df51),
+    ("255-VCF/f=32", 1, 0xd0bb_6caf_74f0_4360),
     ("ScalableVCF", 1, 0x633d_a733_5244_7f4d),
     ("DCF/2^10", 1, 0xdfa6_6615_eb8e_497f),
     ("DCF/2^11", 1, 0x023a_42ac_9e78_b2e1),
@@ -304,6 +315,7 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("2-VCF", 7, 0x7b52_33ba_f3c7_a7e7),
     ("6-VCF", 7, 0x5e2d_ec55_240b_deb1),
     ("8-VCF/MAX=0", 7, 0x8825_1b64_3acc_d2c7),
+    ("255-VCF/f=32", 7, 0xde24_2c14_97bc_6ea7),
     ("ScalableVCF", 7, 0xd84b_f2f9_5a82_2c5a),
     ("DCF/2^10", 7, 0x67df_71bb_6357_5d8e),
     ("DCF/2^11", 7, 0x863f_f3aa_f410_a5ff),
@@ -316,6 +328,7 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("2-VCF", 42, 0x76a5_b1e4_829b_00b4),
     ("6-VCF", 42, 0x333d_1393_4479_bb50),
     ("8-VCF/MAX=0", 42, 0x3e6d_bffd_af0a_f0c5),
+    ("255-VCF/f=32", 42, 0x5ef0_62e8_d2a3_4fe1),
     ("ScalableVCF", 42, 0xf10b_0110_f0bf_5e6a),
     ("DCF/2^10", 42, 0x4ee6_c12e_e38f_99b2),
     ("DCF/2^11", 42, 0xf222_b080_da3c_2113),
