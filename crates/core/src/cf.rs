@@ -58,24 +58,23 @@ impl CfPolicy {
 }
 
 impl CandidatePolicy for CfPolicy {
-    type Table = FingerprintTable;
-
     #[inline]
     fn candidate_count(&self, _fingerprint: u32) -> usize {
         2
     }
 
     #[inline]
-    fn candidate(&self, b1: usize, hfp: u64, fingerprint: u32, e: usize) -> (usize, u32) {
-        if e == 0 {
-            (b1, fingerprint)
+    fn candidate(&self, b1: usize, hfp: u64, fingerprint: u32, e: usize) -> (usize, u64) {
+        let bucket = if e == 0 {
+            b1
         } else {
-            (cf_alternate(b1, hfp, self.index_mask), fingerprint)
-        }
+            cf_alternate(b1, hfp, self.index_mask)
+        };
+        (bucket, u64::from(fingerprint))
     }
 
     #[inline]
-    fn alternate(&self, bucket: usize, hfp: u64, resident: u32, _i: usize) -> (usize, u32) {
+    fn alternate(&self, bucket: usize, hfp: u64, resident: u64, _i: usize) -> (usize, u64) {
         (cf_alternate(bucket, hfp, self.index_mask), resident)
     }
 

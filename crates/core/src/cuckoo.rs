@@ -12,7 +12,7 @@ use crate::key;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use vcf_hash::HashKind;
-use vcf_table::SlotTable;
+use vcf_table::FingerprintTable;
 use vcf_traits::{Counters, Filter, InsertError, Stats};
 
 /// Keys hashed, and their candidate buckets prefetched, ahead of the
@@ -26,10 +26,10 @@ pub(crate) const WINDOW: usize = 16;
 /// any candidate bucket of an item, that bucket plus the resident's
 /// [`alternate`](Self::alternate)s is exactly the item's candidate set.
 /// Bucket arithmetic stays in `vertical.rs`.
+///
+/// Entries are [`FingerprintTable`] lanes: the bare fingerprint, or for
+/// k-VCF the fingerprint with its candidate mark packed above it.
 pub trait CandidatePolicy: Clone + core::fmt::Debug {
-    /// The slot table the policy's entries are stored in.
-    type Table: SlotTable;
-
     /// Primary bucket `B1` of an item whose 64-bit hash is `h`, in a table
     /// of `buckets` buckets: the low bits, as the table is a power of two.
     #[inline]
@@ -42,24 +42,12 @@ pub trait CandidatePolicy: Clone + core::fmt::Debug {
 
     /// Candidate `e < k` of an item with primary bucket `b1`,
     /// fingerprint `fingerprint` and fingerprint hash `hfp`: the bucket
-    /// and the entry stored there.
-    fn candidate(
-        &self,
-        b1: usize,
-        hfp: u64,
-        fingerprint: u32,
-        e: usize,
-    ) -> (usize, <Self::Table as SlotTable>::Entry);
+    /// and the lane stored there.
+    fn candidate(&self, b1: usize, hfp: u64, fingerprint: u32, e: usize) -> (usize, u64);
 
-    /// Alternate `i < k − 1` of `resident`, stored in `bucket`: one of
-    /// the other candidates, derived from the stored bits alone.
-    fn alternate(
-        &self,
-        bucket: usize,
-        hfp: u64,
-        resident: <Self::Table as SlotTable>::Entry,
-        i: usize,
-    ) -> (usize, <Self::Table as SlotTable>::Entry);
+    /// Alternate `i < k − 1` of the lane `resident`, stored in `bucket`:
+    /// one of the other candidates, derived from the stored bits alone.
+    fn alternate(&self, bucket: usize, hfp: u64, resident: u64, i: usize) -> (usize, u64);
 
     /// Index of the candidate the eviction walk starts from.
     fn pick_start(&self, rng: &mut SmallRng, k: usize) -> usize {
@@ -105,13 +93,13 @@ pub(crate) struct Tally {
 /// The eviction walk's state: the victim-selection PRNG, the kick limit
 /// `MAX` and the undo log replayed in reverse when a walk fails.
 #[derive(Debug, Clone)]
-pub(crate) struct Walk<E> {
+pub(crate) struct Walk {
     rng: SmallRng,
     pub(crate) max_kicks: u32,
-    undo: Vec<(usize, usize, E)>,
+    undo: Vec<(usize, usize, u64)>,
 }
 
-impl<E: Copy> Walk<E> {
+impl Walk {
     pub(crate) fn new(seed: u64, max_kicks: u32) -> Self {
         Self {
             rng: SmallRng::seed_from_u64(seed),
@@ -124,17 +112,13 @@ impl<E: Copy> Walk<E> {
     /// that evicts a random resident and relocates it to one of its own
     /// alternates, up to `MAX` kicks. A failed walk is rolled back, so
     /// the table is byte-identical to its state before the call.
-    pub(crate) fn place<P>(
+    pub(crate) fn place<P: CandidatePolicy>(
         &mut self,
         policy: &P,
-        table: &mut P::Table,
+        table: &mut FingerprintTable,
         hash: HashKind,
         key: Key,
-    ) -> (Result<(), InsertError>, Tally)
-    where
-        P: CandidatePolicy,
-        P::Table: SlotTable<Entry = E>,
-    {
+    ) -> (Result<(), InsertError>, Tally) {
         let slots = table.slots_per_bucket();
         let mut t = Tally::default();
         let k = policy.candidate_count(key.fp);
@@ -159,7 +143,7 @@ impl<E: Copy> Walk<E> {
                 return (Ok(()), t);
             };
             self.undo.push((bucket, slot, victim));
-            let fingerprint = P::Table::fingerprint(victim);
+            let fingerprint = table.fingerprint(victim);
             let hfp = hash.hash_fingerprint(fingerprint);
             t.hashes += 1;
             let n = policy.candidate_count(fingerprint) - 1;
@@ -205,11 +189,11 @@ impl<E: Copy> Walk<E> {
 ///   PRNG in item order, so it leaves the same table as serial inserts.
 #[derive(Debug, Clone)]
 pub struct CuckooCore<P: CandidatePolicy> {
-    table: P::Table,
+    table: FingerprintTable,
     policy: P,
     hash: HashKind,
     seed: u64,
-    walk: Walk<<P::Table as SlotTable>::Entry>,
+    walk: Walk,
     counters: Counters,
     label: String,
 }
@@ -219,7 +203,7 @@ impl<P: CandidatePolicy> CuckooCore<P> {
     /// and build `table` first.
     pub(crate) fn from_parts(
         config: &CuckooConfig,
-        table: P::Table,
+        table: FingerprintTable,
         policy: P,
         label: String,
     ) -> Self {
@@ -280,12 +264,12 @@ impl<P: CandidatePolicy> CuckooCore<P> {
     }
 
     /// The slot table (snapshot persistence).
-    pub(crate) fn table(&self) -> &P::Table {
+    pub(crate) fn table(&self) -> &FingerprintTable {
         &self.table
     }
 
     /// The slot table, writable (snapshot restore).
-    pub(crate) fn table_mut(&mut self) -> &mut P::Table {
+    pub(crate) fn table_mut(&mut self) -> &mut FingerprintTable {
         &mut self.table
     }
 
@@ -298,7 +282,7 @@ impl<P: CandidatePolicy> CuckooCore<P> {
     }
 
     #[inline]
-    fn candidate(&self, key: Key, e: usize) -> (usize, <P::Table as SlotTable>::Entry) {
+    fn candidate(&self, key: Key, e: usize) -> (usize, u64) {
         self.policy.candidate(key.b1, key.hfp, key.fp, e)
     }
 
@@ -525,10 +509,7 @@ mod tests {
 
     /// Fills one filter serially and one batched to 110% of capacity and
     /// compares results, every slot, and the counters.
-    fn assert_batch_is_serial<P: CandidatePolicy>(make: impl Fn() -> CuckooCore<P>)
-    where
-        P::Table: PartialEq,
-    {
+    fn assert_batch_is_serial<P: CandidatePolicy>(make: impl Fn() -> CuckooCore<P>) {
         let (mut serial, mut batched) = (make(), make());
         let keys: Vec<Vec<u8>> = (0..serial.capacity() as u32 * 11 / 10)
             .map(|i| i.to_le_bytes().to_vec())

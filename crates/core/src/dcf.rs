@@ -56,26 +56,23 @@ impl DcfPolicy {
 }
 
 impl CandidatePolicy for DcfPolicy {
-    type Table = FingerprintTable;
-
     #[inline]
     fn candidate_count(&self, _fingerprint: u32) -> usize {
         D
     }
 
     #[inline]
-    fn candidate(&self, b1: usize, hfp: u64, fingerprint: u32, e: usize) -> (usize, u32) {
-        if e == 0 {
-            return (b1, fingerprint);
-        }
-        (
-            add_mul_mixed(b1, self.offset(hfp), e, &self.radices),
-            fingerprint,
-        )
+    fn candidate(&self, b1: usize, hfp: u64, fingerprint: u32, e: usize) -> (usize, u64) {
+        let bucket = if e == 0 {
+            b1
+        } else {
+            add_mul_mixed(b1, self.offset(hfp), e, &self.radices)
+        };
+        (bucket, u64::from(fingerprint))
     }
 
     #[inline]
-    fn alternate(&self, bucket: usize, hfp: u64, resident: u32, i: usize) -> (usize, u32) {
+    fn alternate(&self, bucket: usize, hfp: u64, resident: u64, i: usize) -> (usize, u64) {
         (
             add_mul_mixed(bucket, self.offset(hfp), i + 1, &self.radices),
             resident,

@@ -59,8 +59,6 @@ impl DvcfPolicy {
 }
 
 impl CandidatePolicy for DvcfPolicy {
-    type Table = FingerprintTable;
-
     #[inline]
     fn candidate_count(&self, fingerprint: u32) -> usize {
         if self.is_four(fingerprint) {
@@ -71,7 +69,7 @@ impl CandidatePolicy for DvcfPolicy {
     }
 
     #[inline]
-    fn candidate(&self, b1: usize, hfp: u64, fingerprint: u32, e: usize) -> (usize, u32) {
+    fn candidate(&self, b1: usize, hfp: u64, fingerprint: u32, e: usize) -> (usize, u64) {
         if self.is_four(fingerprint) {
             self.four.candidate(b1, hfp, fingerprint, e)
         } else {
@@ -80,8 +78,9 @@ impl CandidatePolicy for DvcfPolicy {
     }
 
     #[inline]
-    fn alternate(&self, bucket: usize, hfp: u64, resident: u32, i: usize) -> (usize, u32) {
-        if self.is_four(resident) {
+    fn alternate(&self, bucket: usize, hfp: u64, resident: u64, i: usize) -> (usize, u64) {
+        // An unmarked lane is the bare fingerprint.
+        if self.is_four(resident as u32) {
             self.four.alternate(bucket, hfp, resident, i)
         } else {
             self.two.alternate(bucket, hfp, resident, i)

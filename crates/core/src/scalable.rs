@@ -172,21 +172,19 @@ impl SegmentPolicy {
 }
 
 impl CandidatePolicy for SegmentPolicy {
-    type Table = FingerprintTable;
-
     #[inline]
     fn candidate_count(&self, _fingerprint: u32) -> usize {
         4
     }
 
     #[inline]
-    fn candidate(&self, low: usize, hfp: u64, fingerprint: u32, e: usize) -> (usize, u32) {
+    fn candidate(&self, low: usize, hfp: u64, fingerprint: u32, e: usize) -> (usize, u64) {
         debug_assert!(e < 4, "four candidates per segment");
-        (self.buckets(low, hfp)[e], fingerprint)
+        (self.buckets(low, hfp)[e], u64::from(fingerprint))
     }
 
     #[inline]
-    fn alternate(&self, bucket: usize, hfp: u64, resident: u32, i: usize) -> (usize, u32) {
+    fn alternate(&self, bucket: usize, hfp: u64, resident: u64, i: usize) -> (usize, u64) {
         debug_assert!(i < 3, "three alternates per segment");
         (self.params.alternates(bucket, hfp)[i], resident)
     }
@@ -255,7 +253,7 @@ pub struct ScalableVcf {
     seed: u64,
     max_part_bits: u32,
     migrate_budget: usize,
-    walk: Walk<u32>,
+    walk: Walk,
     counters: Counters,
     migration: MigrationStats,
 }
@@ -397,7 +395,7 @@ impl ScalableVcf {
         self.segments.iter().enumerate().flat_map(|(i, seg)| {
             seg.table
                 .iter()
-                .map(move |(bucket, _slot, fp)| (i, bucket, fp))
+                .map(move |(bucket, _slot, lane)| (i, bucket, seg.table.fingerprint(lane)))
         })
     }
 
@@ -460,7 +458,7 @@ impl ScalableVcf {
             return;
         }
         for slot in 0..seg.table.slots_per_bucket() {
-            let fp = seg.table.get(bucket, slot);
+            let fp = seg.table.fingerprint(seg.table.get(bucket, slot));
             if fp != 0 {
                 out.push(self.canonical_of(fp, bucket & mask));
             }
@@ -567,7 +565,7 @@ impl ScalableVcf {
             let buckets = self.policy(seg.part_bits).buckets(key.b1, key.hfp);
             probes += (buckets.len() * seg.table.slots_per_bucket()) as u64;
             accesses += buckets.len() as u64;
-            if seg.table.contains_any(&buckets, key.fp) {
+            if seg.table.contains_any(&buckets, u64::from(key.fp)) {
                 found = true;
                 break;
             }
@@ -659,7 +657,7 @@ impl ScalableVcf {
         };
         let bucket = cold.drained;
         for slot in 0..cold.table.slots_per_bucket() {
-            let fp = cold.table.get(bucket, slot);
+            let fp = cold.table.fingerprint(cold.table.get(bucket, slot));
             if fp == 0 {
                 continue;
             }
@@ -702,10 +700,10 @@ impl ScalableVcf {
         };
         let policy = self.policy(part_bits);
         for seg in &self.segments {
-            for (bucket, _slot, fp) in seg.table.iter() {
+            for (bucket, _slot, lane) in seg.table.iter() {
                 // Theorem 1: the coset lows follow from the resident
                 // bucket alone, as in the migration drain.
-                let key = Key::new(self.hash, fp, bucket);
+                let key = Key::new(self.hash, seg.table.fingerprint(lane), bucket);
                 let (placed, _) = self.walk.place(&policy, &mut table, self.hash, key);
                 if placed.is_err() {
                     return false;
@@ -852,7 +850,7 @@ impl Filter for ScalableVcf {
                 }
                 probes += seg.table.slots_per_bucket() as u64;
                 accesses += 1;
-                if seg.table.remove_one(bucket, key.fp) {
+                if seg.table.remove_one(bucket, u64::from(key.fp)) {
                     removed = true;
                     break 'segments;
                 }

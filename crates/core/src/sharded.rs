@@ -345,27 +345,30 @@ impl ShardedScalableVcf {
     }
 
     /// Total migration backlog across shards (0 ⇔ every shard is a
-    /// single segment).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shard lock is poisoned.
+    /// single segment). A poisoned shard lock is recovered from, as on
+    /// every router path.
     pub fn migration_backlog(&self) -> usize {
         self.shards
             .iter()
-            .map(|shard| shard.read().unwrap().migration_backlog())
+            .map(|shard| {
+                shard
+                    .read()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .migration_backlog()
+            })
             .sum()
     }
 
     /// Segment-chain length per shard, in routing order (diagnostic).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shard lock is poisoned.
     pub fn shard_segments(&self) -> Vec<usize> {
         self.shards
             .iter()
-            .map(|shard| shard.read().unwrap().segments())
+            .map(|shard| {
+                shard
+                    .read()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .segments()
+            })
             .collect()
     }
 }
@@ -376,10 +379,6 @@ impl<F: ConcurrentFilter> ShardRouter<F> {
     /// # Errors
     ///
     /// Returns [`InsertError::Full`] when the target shard is full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a locked shard's lock is poisoned.
     pub fn insert(&self, item: &[u8]) -> Result<(), InsertError> {
         debug_assert!(self.shard_mask as usize == self.shards.len() - 1);
         self.shards[self.shard_of(item)].insert(item)
@@ -388,19 +387,11 @@ impl<F: ConcurrentFilter> ShardRouter<F> {
     /// Batched insert: one grouped visit per touched shard, results in
     /// input order. A full shard fails only its own items, exactly like
     /// the serial loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a locked shard's lock is poisoned.
     pub fn insert_batch(&self, items: &[&[u8]]) -> Vec<Result<(), InsertError>> {
         self.scatter(items, Ok(()), ConcurrentFilter::insert_batch)
     }
 
     /// Membership test.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a locked shard's lock is poisoned.
     pub fn contains(&self, item: &[u8]) -> bool {
         debug_assert!(self.shard_mask as usize == self.shards.len() - 1);
         self.shards[self.shard_of(item)].contains(item)
@@ -409,19 +400,11 @@ impl<F: ConcurrentFilter> ShardRouter<F> {
     /// Batched membership test: one grouped visit per touched shard —
     /// one lock acquisition or one cache-overlapped probe pass per shard
     /// instead of one per item — answers in input order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a locked shard's lock is poisoned.
     pub fn contains_batch(&self, items: &[&[u8]]) -> Vec<bool> {
         self.scatter(items, false, ConcurrentFilter::contains_batch)
     }
 
     /// Removes one copy of `item`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a locked shard's lock is poisoned.
     pub fn delete(&self, item: &[u8]) -> bool {
         debug_assert!(self.shard_mask as usize == self.shards.len() - 1);
         self.shards[self.shard_of(item)].delete(item)
@@ -430,10 +413,6 @@ impl<F: ConcurrentFilter> ShardRouter<F> {
     /// Batched delete: one grouped visit per touched shard, answers in
     /// input order. Duplicate keys remove one copy each, as in the serial
     /// loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a locked shard's lock is poisoned.
     pub fn delete_batch(&self, items: &[&[u8]]) -> Vec<bool> {
         self.scatter(items, false, ConcurrentFilter::delete_batch)
     }
@@ -864,6 +843,28 @@ mod tests {
         for k in &stored {
             assert!(f.contains(k), "hot-shard key lost");
         }
+    }
+
+    /// A panic under one shard's write guard poisons that lock; the
+    /// diagnostics and the batch paths recover the guard rather than
+    /// propagate another thread's panic.
+    #[test]
+    fn poisoned_shard_lock_is_recovered() {
+        let f =
+            Arc::new(ShardedScalableVcf::new(CuckooConfig::new(1 << 8).with_seed(14), 2).unwrap());
+        let poisoner = Arc::clone(&f);
+        let joined = thread::spawn(move || {
+            let _guard = poisoner.shards()[0].write().unwrap();
+            panic!("poisoning shard 0");
+        })
+        .join();
+        assert!(joined.is_err() && f.shards()[0].is_poisoned());
+        assert_eq!(f.migration_backlog(), 0);
+        assert_eq!(f.shard_segments(), vec![1; 4]);
+        let keys: Vec<Vec<u8>> = (0..64).map(key).collect();
+        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+        assert!(f.insert_batch(&refs).iter().all(Result::is_ok));
+        assert!(f.contains_batch(&refs).iter().all(|&hit| hit));
     }
 
     #[test]

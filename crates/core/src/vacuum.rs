@@ -43,8 +43,6 @@ pub type VacuumFilter = CuckooCore<VacuumPolicy>;
 pub struct VacuumPolicy(CfPolicy);
 
 impl CandidatePolicy for VacuumPolicy {
-    type Table = FingerprintTable;
-
     #[inline]
     fn primary_bucket(&self, h: u64, buckets: usize) -> usize {
         (h % buckets as u64) as usize
@@ -56,12 +54,12 @@ impl CandidatePolicy for VacuumPolicy {
     }
 
     #[inline]
-    fn candidate(&self, b1: usize, hfp: u64, fingerprint: u32, e: usize) -> (usize, u32) {
+    fn candidate(&self, b1: usize, hfp: u64, fingerprint: u32, e: usize) -> (usize, u64) {
         self.0.candidate(b1, hfp, fingerprint, e)
     }
 
     #[inline]
-    fn alternate(&self, bucket: usize, hfp: u64, resident: u32, i: usize) -> (usize, u32) {
+    fn alternate(&self, bucket: usize, hfp: u64, resident: u64, i: usize) -> (usize, u64) {
         self.0.alternate(bucket, hfp, resident, i)
     }
 

@@ -58,21 +58,22 @@ pub struct VcfPolicy {
 }
 
 impl CandidatePolicy for VcfPolicy {
-    type Table = FingerprintTable;
-
     #[inline]
     fn candidate_count(&self, _fingerprint: u32) -> usize {
         4
     }
 
     #[inline]
-    fn candidate(&self, b1: usize, hfp: u64, fingerprint: u32, e: usize) -> (usize, u32) {
+    fn candidate(&self, b1: usize, hfp: u64, fingerprint: u32, e: usize) -> (usize, u64) {
         debug_assert!(e < 4, "VCF has four candidates");
-        (self.params.candidates(b1, hfp).buckets[e], fingerprint)
+        (
+            self.params.candidates(b1, hfp).buckets[e],
+            u64::from(fingerprint),
+        )
     }
 
     #[inline]
-    fn alternate(&self, bucket: usize, hfp: u64, resident: u32, i: usize) -> (usize, u32) {
+    fn alternate(&self, bucket: usize, hfp: u64, resident: u64, i: usize) -> (usize, u64) {
         debug_assert!(i < 3, "VCF has three alternates");
         (self.params.alternates(bucket, hfp)[i], resident)
     }
@@ -165,9 +166,10 @@ impl VerticalCuckooFilter {
     /// stored bits alone (no original items needed) — the partial-key
     /// invariant extended across the freeze boundary.
     pub fn canonical_keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.table()
-            .iter()
-            .map(|(bucket, _slot, fp)| canonical(self.candidates_of(fp, bucket), fp))
+        self.table().iter().map(|(bucket, _slot, lane)| {
+            let fp = self.table().fingerprint(lane);
+            canonical(self.candidates_of(fp, bucket), fp)
+        })
     }
 
     #[inline]

@@ -5,12 +5,12 @@
 //! single relocation), at the cost of increasing insertion time (more
 //! candidate buckets probed per insert).
 
-use crate::factory::FilterSpec;
 use crate::report::{Cell, Report, Table};
 use crate::runner::fill;
 use crate::timing::Summary;
 use crate::ExpOptions;
-use vcf_core::CuckooConfig;
+use vcf_core::{CuckooConfig, KVcf};
+use vcf_traits::Filter;
 use vcf_workloads::KeyStream;
 
 /// The `k` values of the paper's Table V.
@@ -28,9 +28,9 @@ pub fn run(opts: &ExpOptions) -> Report {
     );
 
     for k in KS {
-        let spec = FilterSpec::kvcf(k);
         let mut lf = Vec::new();
         let mut secs = Vec::new();
+        let mut mark_bits = 0;
         for rep in 0..reps {
             let seed = opts.seed.wrapping_add(rep as u64);
             let keys = KeyStream::new(seed).take_vec(slots);
@@ -38,8 +38,8 @@ pub fn run(opts: &ExpOptions) -> Report {
                 .with_seed(seed)
                 .with_fingerprint_bits(16)
                 .with_max_kicks(0);
-            let mut filter = spec.build(config).expect("k-VCF spec");
-            let outcome = fill(filter.as_mut(), &keys);
+            let mut filter = KVcf::new(config, k).expect("k-VCF geometry");
+            let outcome = fill(&mut filter, &keys);
             assert_eq!(
                 filter.stats().kicks,
                 0,
@@ -47,8 +47,8 @@ pub fn run(opts: &ExpOptions) -> Report {
             );
             lf.push(outcome.load_factor);
             secs.push(outcome.seconds);
+            mark_bits = filter.mark_bits();
         }
-        let mark_bits = (usize::BITS - (k - 1).leading_zeros()).max(1);
         table.row(vec![
             Cell::Int(k as i64),
             Cell::Float(Summary::of(&lf).mean * 100.0, 2),

@@ -1,21 +1,34 @@
-//! Bucketed storage of non-zero fingerprints.
+//! Bucketed storage of fingerprint lanes, with an optional mark field.
+//!
+//! Section III-C: k-VCF "must add the mark bits to label the bitmasks
+//! […] Consequently, each slot must have two fields, the fingerprint
+//! field and the counter field." Every other variant stores the
+//! fingerprint alone. Both are one table here: the mark field is a width
+//! fixed at construction, `0` for the unmarked variants.
 
 use crate::bucket::{BucketEngine, BucketWords};
 use crate::{MAX_BUCKET_SLOTS, MAX_FINGERPRINT_BITS, MIN_FINGERPRINT_BITS};
 use vcf_traits::BuildError;
 
-/// A table of `buckets × slots_per_bucket` fingerprint slots, the storage
-/// layout of every 2-ary and 4-ary cuckoo filter in this workspace.
+/// A table of `buckets × slots_per_bucket` slots, the storage layout of
+/// every sequential cuckoo filter in this workspace.
 ///
-/// Fingerprints are `u32` values in `1..2^f` — zero is reserved as the
-/// empty sentinel, which is why the filter layer remaps a zero fingerprint
-/// to `1` before storing (see `vcf_core`).
+/// Each slot holds one *lane* `mark << f | fingerprint`: an `f`-bit
+/// fingerprint field plus a mark field of [`mark_bits`](Self::mark_bits)
+/// bits (none for an unmarked table, where the lane is the bare
+/// fingerprint). Lanes are passed as `u64`, since `f = 32` plus a mark
+/// is wider than 32 bits. A slot is empty exactly when its fingerprint
+/// field is zero, whatever its mark bits say, which is why the filter
+/// layer remaps a zero fingerprint to `1` before storing (see
+/// `vcf_core`).
 ///
 /// Buckets are word-aligned and probed through the SWAR kernels of
 /// [`BucketEngine`]: every bucket-wide operation (`find`, `contains`,
-/// `try_insert`, `bucket_is_full`, `bucket_len`, `remove_one`) loads the
-/// bucket's one or two words once and tests all slots with a handful of
-/// branch-free word operations instead of a per-slot bit-extraction loop.
+/// `try_insert`, `bucket_is_full`, `remove_one`) loads the bucket's
+/// words once and tests all slots with a handful of branch-free word
+/// operations. A lookup is a full-lane compare, so a marked entry
+/// matches only with its mark; the empty test compares the fingerprint
+/// field alone.
 ///
 /// # Examples
 ///
@@ -26,6 +39,14 @@ use vcf_traits::BuildError;
 /// let slot = t.try_insert(5, 0xab).expect("bucket 5 has room");
 /// assert_eq!(t.get(5, slot), 0xab);
 /// assert_eq!(t.occupied(), 1);
+///
+/// // A 3-bit mark beside a 16-bit fingerprint.
+/// let mut marked = FingerprintTable::with_mark_bits(8, 4, 16, 3)?;
+/// let lane = 5 << 16 | 0xbeef;
+/// marked.try_insert(2, lane).expect("room");
+/// assert!(marked.contains(2, lane));
+/// assert!(!marked.contains(2, 4 << 16 | 0xbeef));
+/// assert_eq!(marked.fingerprint(lane), 0xbeef);
 /// # Ok::<(), vcf_traits::BuildError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -33,11 +54,12 @@ pub struct FingerprintTable {
     words: Vec<u64>,
     engine: BucketEngine,
     buckets: usize,
+    fingerprint_bits: u32,
     occupied: usize,
 }
 
 impl FingerprintTable {
-    /// Creates an empty table.
+    /// Creates an empty table without a mark field.
     ///
     /// # Errors
     ///
@@ -47,6 +69,22 @@ impl FingerprintTable {
         buckets: usize,
         slots_per_bucket: usize,
         fingerprint_bits: u32,
+    ) -> Result<Self, BuildError> {
+        Self::with_mark_bits(buckets, slots_per_bucket, fingerprint_bits, 0)
+    }
+
+    /// Creates an empty table whose lanes carry a `mark_bits`-bit mark
+    /// above the fingerprint field.
+    ///
+    /// # Errors
+    ///
+    /// As [`new`](Self::new), plus a lane wider than
+    /// [`MAX_LANE_BITS`](crate::MAX_LANE_BITS).
+    pub fn with_mark_bits(
+        buckets: usize,
+        slots_per_bucket: usize,
+        fingerprint_bits: u32,
+        mark_bits: u32,
     ) -> Result<Self, BuildError> {
         if buckets == 0 {
             return Err(BuildError::InvalidBucketCount {
@@ -66,11 +104,16 @@ impl FingerprintTable {
                 max: MAX_FINGERPRINT_BITS,
             });
         }
-        let engine = BucketEngine::new(slots_per_bucket, fingerprint_bits)?;
+        let engine = BucketEngine::with_empty_field(
+            slots_per_bucket,
+            fingerprint_bits.saturating_add(mark_bits),
+            (1u64 << fingerprint_bits) - 1,
+        )?;
         Ok(Self {
             words: vec![0u64; engine.storage_words(buckets)],
             engine,
             buckets,
+            fingerprint_bits,
             occupied: 0,
         })
     }
@@ -90,7 +133,14 @@ impl FingerprintTable {
     /// Fingerprint width in bits (`f`).
     #[inline]
     pub fn fingerprint_bits(&self) -> u32 {
-        self.engine.width()
+        self.fingerprint_bits
+    }
+
+    /// Mark field width in bits (the paper's "extra three bits […] when
+    /// k = 7" is `mark_bits = 3`); `0` for an unmarked table.
+    #[inline]
+    pub fn mark_bits(&self) -> u32 {
+        self.engine.width() - self.fingerprint_bits
     }
 
     /// Total slot capacity (`m · b`).
@@ -115,10 +165,10 @@ impl FingerprintTable {
         self.words.len() * 8
     }
 
-    /// The bucket engine probing this table (geometry + SWAR kernels).
+    /// The fingerprint field of `lane`; `0` means an empty slot.
     #[inline]
-    pub fn engine(&self) -> &BucketEngine {
-        &self.engine
+    pub fn fingerprint(&self, lane: u64) -> u32 {
+        (lane & ((1u64 << self.fingerprint_bits) - 1)) as u32
     }
 
     /// Loads `bucket`'s words once for repeated kernel probes.
@@ -137,81 +187,76 @@ impl FingerprintTable {
         self.engine.prefetch_bucket(&self.words, bucket);
     }
 
-    /// Reads the fingerprint in `(bucket, slot)`; `0` means empty.
+    /// Reads the lane in `(bucket, slot)`; a zero
+    /// [`fingerprint`](Self::fingerprint) field means empty.
     #[inline]
-    pub fn get(&self, bucket: usize, slot: usize) -> u32 {
+    pub fn get(&self, bucket: usize, slot: usize) -> u64 {
         debug_assert!(bucket < self.buckets, "bucket {bucket} out of range");
-        self.engine.get_slot(&self.words, bucket, slot) as u32
+        self.engine.get_slot(&self.words, bucket, slot)
     }
 
-    /// Overwrites `(bucket, slot)` with `fingerprint` (may be `0` to
-    /// clear), maintaining the occupancy count.
+    /// Overwrites `(bucket, slot)` with `lane` (a zero fingerprint field
+    /// clears it), maintaining the occupancy count.
     ///
     /// # Panics
     ///
-    /// Debug builds panic if the fingerprint does not fit in `f` bits or
-    /// the position is out of range; release builds truncate. Callers
-    /// mask fingerprints to `f` bits and snapshot decoders reject wider
-    /// words, so an oversized value is an internal bug, not input.
-    pub fn set(&mut self, bucket: usize, slot: usize, fingerprint: u32) {
-        debug_assert!(
-            u64::from(fingerprint) <= self.engine.lane_mask(),
-            "fingerprint {fingerprint:#x} exceeds {} bits",
-            self.engine.width()
-        );
+    /// Debug builds panic if the lane does not fit or the position is out
+    /// of range; release builds truncate. Callers mask fingerprints to
+    /// `f` bits and snapshot decoders reject wider words, so an oversized
+    /// value is an internal bug, not input.
+    pub fn set(&mut self, bucket: usize, slot: usize, lane: u64) {
+        self.debug_assert_fits(lane);
         let old = self.engine.get_slot(&self.words, bucket, slot);
-        self.engine
-            .set_slot(&mut self.words, bucket, slot, u64::from(fingerprint));
-        match (old == 0, fingerprint == 0) {
+        self.engine.set_slot(&mut self.words, bucket, slot, lane);
+        match (self.fingerprint(old) == 0, self.fingerprint(lane) == 0) {
             (true, false) => self.occupied += 1,
             (false, true) => self.occupied -= 1,
             _ => {}
         }
     }
 
-    /// Inserts `fingerprint` into the first empty slot of `bucket`.
-    /// Returns the slot used, or `None` when the bucket is full.
+    /// Inserts `lane` into the first empty slot of `bucket`. Returns the
+    /// slot used, or `None` when the bucket is full.
     ///
     /// # Panics
     ///
-    /// Debug builds panic if `fingerprint` is zero (the empty sentinel);
-    /// fingerprint derivation remaps 0 before it reaches the table.
-    pub fn try_insert(&mut self, bucket: usize, fingerprint: u32) -> Option<usize> {
-        debug_assert!(fingerprint != 0, "fingerprint 0 is the empty sentinel");
+    /// Debug builds panic if the fingerprint field is zero (the empty
+    /// sentinel) or the lane does not fit; fingerprint derivation remaps
+    /// 0 and the policies bound marks before they reach the table.
+    pub fn try_insert(&mut self, bucket: usize, lane: u64) -> Option<usize> {
+        self.debug_assert_occupied(lane);
         let slot = self.engine.first_empty_slot(&self.read_bucket(bucket))?;
-        self.engine
-            .set_slot(&mut self.words, bucket, slot, u64::from(fingerprint));
+        self.engine.set_slot(&mut self.words, bucket, slot, lane);
         self.occupied += 1;
         Some(slot)
     }
 
-    /// Returns the slot holding `fingerprint` in `bucket`, if any.
+    /// Returns the slot holding `lane` in `bucket`, if any.
     #[inline]
-    pub fn find(&self, bucket: usize, fingerprint: u32) -> Option<usize> {
-        self.engine
-            .find_in_bucket(&self.read_bucket(bucket), u64::from(fingerprint))
+    pub fn find(&self, bucket: usize, lane: u64) -> Option<usize> {
+        self.engine.find_in_bucket(&self.read_bucket(bucket), lane)
     }
 
-    /// Whether `bucket` holds at least one copy of `fingerprint`.
+    /// Whether `bucket` holds at least one copy of `lane`.
     #[inline]
-    pub fn contains(&self, bucket: usize, fingerprint: u32) -> bool {
+    pub fn contains(&self, bucket: usize, lane: u64) -> bool {
         self.engine
-            .contains_in_bucket(&self.read_bucket(bucket), u64::from(fingerprint))
+            .contains_in_bucket(&self.read_bucket(bucket), lane)
     }
 
-    /// Whether any bucket of `buckets` holds `fingerprint` — the batched
+    /// Whether any bucket of `buckets` holds `lane` — the batched
     /// candidate probe, stopping at the first bucket that matches.
-    pub fn contains_any(&self, buckets: &[usize], fingerprint: u32) -> bool {
-        buckets.iter().any(|&b| self.contains(b, fingerprint))
+    pub fn contains_any(&self, buckets: &[usize], lane: u64) -> bool {
+        buckets.iter().any(|&b| self.contains(b, lane))
     }
 
-    /// Removes one copy of `fingerprint` from `bucket`; returns whether a
-    /// copy was found.
-    pub fn remove_one(&mut self, bucket: usize, fingerprint: u32) -> bool {
-        if fingerprint == 0 {
+    /// Removes one copy of `lane` from `bucket`; returns whether a copy
+    /// was found.
+    pub fn remove_one(&mut self, bucket: usize, lane: u64) -> bool {
+        if self.fingerprint(lane) == 0 {
             return false;
         }
-        match self.find(bucket, fingerprint) {
+        match self.find(bucket, lane) {
             Some(slot) => {
                 self.engine.set_slot(&mut self.words, bucket, slot, 0);
                 self.occupied -= 1;
@@ -228,44 +273,52 @@ impl FingerprintTable {
             .is_none()
     }
 
-    /// Number of occupied slots in `bucket`.
-    pub fn bucket_len(&self, bucket: usize) -> usize {
-        self.engine.bucket_len(&self.read_bucket(bucket))
-    }
-
-    /// Swaps `fingerprint` with the resident of `(bucket, slot)` and
-    /// returns the previous resident. Used by the eviction ("kick") loops.
+    /// Swaps `lane` with the resident of `(bucket, slot)` and returns the
+    /// previous resident (`None` if the slot was empty). Used by the
+    /// eviction ("kick") walk, which reads a marked victim's mark to
+    /// relocate it.
     ///
     /// # Panics
     ///
-    /// Debug builds panic if `fingerprint` is zero; fingerprint
-    /// derivation remaps 0 before it reaches the table.
-    pub fn swap(&mut self, bucket: usize, slot: usize, fingerprint: u32) -> u32 {
-        debug_assert!(fingerprint != 0, "fingerprint 0 is the empty sentinel");
-        let old = self.engine.get_slot(&self.words, bucket, slot) as u32;
-        self.engine
-            .set_slot(&mut self.words, bucket, slot, u64::from(fingerprint));
-        if old == 0 {
+    /// As [`try_insert`](Self::try_insert).
+    pub fn swap(&mut self, bucket: usize, slot: usize, lane: u64) -> Option<u64> {
+        self.debug_assert_occupied(lane);
+        let old = self.engine.get_slot(&self.words, bucket, slot);
+        self.engine.set_slot(&mut self.words, bucket, slot, lane);
+        if self.fingerprint(old) == 0 {
             self.occupied += 1;
+            return None;
         }
-        old
+        Some(old)
     }
 
-    /// Removes every stored fingerprint.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-        self.occupied = 0;
-    }
-
-    /// Iterates `(bucket, slot, fingerprint)` over occupied slots.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, u32)> + '_ {
+    /// Iterates `(bucket, slot, lane)` over occupied slots.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
         (0..self.buckets).flat_map(move |bucket| {
             let loaded = self.read_bucket(bucket);
             (0..self.engine.slots()).filter_map(move |slot| {
-                let fp = self.engine.lane(&loaded, slot) as u32;
-                (fp != 0).then_some((bucket, slot, fp))
+                let lane = self.engine.lane(&loaded, slot);
+                (self.fingerprint(lane) != 0).then_some((bucket, slot, lane))
             })
         })
+    }
+
+    #[inline]
+    fn debug_assert_fits(&self, lane: u64) {
+        debug_assert!(
+            lane <= self.engine.lane_mask(),
+            "lane {lane:#x} does not fit in {} bits",
+            self.engine.width()
+        );
+    }
+
+    #[inline]
+    fn debug_assert_occupied(&self, lane: u64) {
+        debug_assert!(
+            self.fingerprint(lane) != 0,
+            "fingerprint 0 is the empty sentinel"
+        );
+        self.debug_assert_fits(lane);
     }
 }
 
@@ -277,6 +330,15 @@ mod tests {
         FingerprintTable::new(8, 4, 12).unwrap()
     }
 
+    /// 16-bit fingerprints with a 3-bit mark (k = 7).
+    fn marked() -> FingerprintTable {
+        FingerprintTable::with_mark_bits(8, 4, 16, 3).unwrap()
+    }
+
+    fn lane(fingerprint: u32, mark: u64) -> u64 {
+        mark << 16 | u64::from(fingerprint)
+    }
+
     #[test]
     fn rejects_bad_geometry() {
         assert!(FingerprintTable::new(0, 4, 12).is_err());
@@ -284,6 +346,24 @@ mod tests {
         assert!(FingerprintTable::new(8, 9, 12).is_err());
         assert!(FingerprintTable::new(8, 4, 1).is_err());
         assert!(FingerprintTable::new(8, 4, 33).is_err());
+        assert!(FingerprintTable::with_mark_bits(8, 4, 32, 32).is_err());
+    }
+
+    #[test]
+    fn unmarked_table_builds_the_plain_engine() {
+        let t = table();
+        assert_eq!(t.mark_bits(), 0);
+        assert_eq!(t.engine, BucketEngine::new(4, 12).unwrap());
+    }
+
+    #[test]
+    fn widest_lane_holds_f32_and_an_8_bit_mark() {
+        let mut t = FingerprintTable::with_mark_bits(4, 4, 32, 8).unwrap();
+        let wide = lane(u32::MAX, 0) | 0xff << 32;
+        t.try_insert(1, wide).unwrap();
+        assert_eq!(t.get(1, 0), wide);
+        assert!(!t.contains(1, u64::from(u32::MAX) | 0xfe << 32));
+        assert!(t.remove_one(1, wide));
     }
 
     #[test]
@@ -295,7 +375,6 @@ mod tests {
         assert_eq!(t.try_insert(2, 13), Some(3));
         assert_eq!(t.try_insert(2, 14), None);
         assert!(t.bucket_is_full(2));
-        assert_eq!(t.bucket_len(2), 4);
         assert_eq!(t.occupied(), 4);
     }
 
@@ -324,14 +403,14 @@ mod tests {
     fn remove_zero_is_never_found() {
         let mut t = table();
         assert!(!t.remove_one(0, 0));
+        assert!(!marked().remove_one(0, lane(0, 2)));
     }
 
     #[test]
     fn swap_returns_victim() {
         let mut t = table();
         t.try_insert(3, 100).unwrap();
-        let victim = t.swap(3, 0, 200);
-        assert_eq!(victim, 100);
+        assert_eq!(t.swap(3, 0, 200), Some(100));
         assert_eq!(t.get(3, 0), 200);
         assert_eq!(t.occupied(), 1, "swap must not change occupancy");
     }
@@ -339,9 +418,19 @@ mod tests {
     #[test]
     fn swap_into_empty_slot_increases_occupancy() {
         let mut t = table();
-        let victim = t.swap(3, 1, 50);
-        assert_eq!(victim, 0);
+        assert_eq!(t.swap(3, 1, 50), None);
         assert_eq!(t.occupied(), 1);
+    }
+
+    #[test]
+    fn marked_swap_preserves_occupancy_and_returns_victim() {
+        let mut t = marked();
+        let (a, b) = (lane(1, 1), lane(2, 4));
+        t.try_insert(5, a).unwrap();
+        assert_eq!(t.swap(5, 0, b), Some(a));
+        assert_eq!(t.occupied(), 1);
+        assert_eq!(t.swap(5, 1, a), None);
+        assert_eq!(t.occupied(), 2);
     }
 
     #[test]
@@ -350,6 +439,22 @@ mod tests {
     #[should_panic(expected = "empty sentinel")]
     fn inserting_zero_panics() {
         table().try_insert(0, 0);
+    }
+
+    #[test]
+    // The check is a `debug_assert!`: release builds skip it.
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "empty sentinel")]
+    fn inserting_a_marked_zero_fingerprint_panics() {
+        marked().try_insert(0, lane(0, 1));
+    }
+
+    #[test]
+    // The check is a `debug_assert!`: release builds skip it.
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "does not fit")]
+    fn oversized_mark_panics() {
+        marked().try_insert(0, lane(1, 8));
     }
 
     #[test]
@@ -384,22 +489,16 @@ mod tests {
         t.try_insert(7, 2).unwrap();
         let all: Vec<_> = t.iter().collect();
         assert_eq!(all, vec![(0, 0, 1), (7, 0, 2)]);
-    }
-
-    #[test]
-    fn clear_empties_table() {
-        let mut t = table();
-        t.try_insert(0, 1).unwrap();
-        t.clear();
-        assert_eq!(t.occupied(), 0);
-        assert!(!t.contains(0, 1));
+        let mut m = marked();
+        m.try_insert(7, lane(77, 5)).unwrap();
+        assert_eq!(m.iter().collect::<Vec<_>>(), vec![(7, 0, lane(77, 5))]);
     }
 
     #[test]
     fn max_width_fingerprints_roundtrip() {
         let mut t = FingerprintTable::new(4, 4, 32).unwrap();
-        t.try_insert(0, u32::MAX).unwrap();
-        assert!(t.contains(0, u32::MAX));
+        t.try_insert(0, u64::from(u32::MAX)).unwrap();
+        assert!(t.contains(0, u64::from(u32::MAX)));
     }
 
     #[test]
@@ -410,5 +509,60 @@ mod tests {
         // f = 16, b = 8 → two words per bucket.
         let t = FingerprintTable::new(10, 8, 16).unwrap();
         assert_eq!(t.storage_bytes(), 10 * 16);
+    }
+
+    #[test]
+    fn marked_roundtrip_entry() {
+        let mut t = marked();
+        let e = lane(0xffff, 6);
+        let slot = t.try_insert(3, e).unwrap();
+        assert_eq!(t.get(3, slot), e);
+        assert_eq!((t.fingerprint(e), t.mark_bits()), (0xffff, 3));
+        assert_eq!(t.occupied(), 1);
+    }
+
+    #[test]
+    fn exact_match_requires_mark() {
+        let mut t = marked();
+        let e = lane(0xab, 2);
+        t.try_insert(0, e).unwrap();
+        assert!(t.contains(0, e));
+        assert!(!t.contains(0, lane(0xab, 3)));
+        assert!(!t.remove_one(0, lane(0xab, 3)));
+        assert!(t.remove_one(0, e));
+        assert_eq!(t.occupied(), 0);
+    }
+
+    #[test]
+    fn mark_zero_is_valid_for_occupied_slot() {
+        let mut t = marked();
+        t.try_insert(0, lane(5, 0)).unwrap();
+        assert!(t.contains(0, lane(5, 0)));
+    }
+
+    #[test]
+    fn marked_bucket_fills_and_rejects() {
+        let mut t = marked();
+        for fp in 1..=4 {
+            t.try_insert(1, lane(fp, 0)).unwrap();
+        }
+        assert!(t.bucket_is_full(1));
+        assert!(t.try_insert(1, lane(9, 0)).is_none());
+    }
+
+    #[test]
+    fn residual_mark_with_zero_fingerprint_is_still_empty() {
+        // A slot is empty iff its fingerprint field is zero: mark bits
+        // left behind must not make it read as occupied.
+        let mut t = marked();
+        for slot in 0..4 {
+            t.set(0, slot, lane(0, 7));
+        }
+        assert_eq!(t.occupied(), 0);
+        assert!(!t.bucket_is_full(0));
+        assert_eq!(t.iter().count(), 0);
+        assert_eq!(t.swap(0, 2, lane(9, 1)), None);
+        assert_eq!(t.try_insert(0, lane(8, 1)), Some(0));
+        assert_eq!(t.occupied(), 2);
     }
 }

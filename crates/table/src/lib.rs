@@ -11,21 +11,20 @@
 //! * [`BucketEngine`] — the word-level bucket engine: a word-aligned
 //!   bucket layout plus SWAR broadcast-compare kernels that probe all
 //!   slots of a bucket in O(1) word operations,
-//! * [`FingerprintTable`] — bucketed storage of non-zero `f`-bit
-//!   fingerprints (used by CF, DCF, VCF, IVCF, DVCF), probed through the
-//!   bucket engine,
-//! * [`MarkedTable`] — bucketed storage of `(fingerprint, mark)` pairs
-//!   (used by k-VCF), likewise engine-probed,
-//! * [`SlotTable`] — the slot operations of both tables behind one
-//!   trait, so a single cuckoo engine in `vcf-core` drives either,
+//! * [`FingerprintTable`] — the one sequential slot table, probed through
+//!   the bucket engine. Each slot is a lane `mark << f | fingerprint`
+//!   whose mark field has a width fixed at construction: none for CF,
+//!   DCF, VCF, IVCF, DVCF and the elastic segments, `ceil(log2(k))` bits
+//!   for k-VCF. The cuckoo engine in `vcf-core` drives every variant
+//!   through it,
 //! * [`AtomicBucketEngine`] / [`AtomicFingerprintTable`] — the lock-free
 //!   siblings: the same layout and kernels over `AtomicU64` words, with
 //!   CAS-based slot claim/replace for concurrent filters (`ConcurrentVcf`
 //!   in `vcf-core`).
 //!
-//! All tables use value `0` as the empty-slot sentinel, so the filter layer
-//! maps real fingerprints into `1..2^f` (the standard trick from the
-//! reference cuckoo filter implementation).
+//! All tables use a zero fingerprint field as the empty-slot sentinel, so
+//! the filter layer maps real fingerprints into `1..2^f` (the standard
+//! trick from the reference cuckoo filter implementation).
 //!
 //! # Examples
 //!
@@ -47,17 +46,13 @@
 mod atomic_bucket;
 mod bucket;
 mod fingerprint;
-mod marked;
 mod packed;
 mod prefetch;
-mod slots;
 
 pub use atomic_bucket::{AtomicBucketEngine, AtomicFingerprintTable};
 pub use bucket::{BucketEngine, BucketWords, MAX_BUCKET_SEGMENTS, MAX_LANE_BITS};
 pub use fingerprint::FingerprintTable;
-pub use marked::{MarkedEntry, MarkedTable};
 pub use packed::PackedTable;
-pub use slots::SlotTable;
 
 /// Maximum supported slots per bucket.
 pub const MAX_BUCKET_SLOTS: usize = 8;

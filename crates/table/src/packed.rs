@@ -5,10 +5,10 @@ use vcf_traits::BuildError;
 /// A flat array of `count` slots, each `width` bits wide (1..=63), packed
 /// contiguously into `u64` words.
 ///
-/// `PackedTable` knows nothing about buckets or fingerprints; it is the
-/// raw bit-level substrate under [`FingerprintTable`](crate::FingerprintTable)
-/// and [`MarkedTable`](crate::MarkedTable). A slot value of `0` is used by
-/// the higher layers as the empty sentinel.
+/// `PackedTable` knows nothing about buckets or fingerprints; it is a raw
+/// bit-level array (the counting Bloom filter's counters), unlike the
+/// bucketed [`FingerprintTable`](crate::FingerprintTable). A slot value
+/// of `0` is used by the higher layers as the empty sentinel.
 ///
 /// # Examples
 ///

@@ -7,7 +7,12 @@
 //! operation sequences.
 
 use proptest::prelude::*;
-use vcf_table::{FingerprintTable, MarkedEntry, MarkedTable, PackedTable};
+use vcf_table::{FingerprintTable, PackedTable};
+
+/// A 16-bit-fingerprint lane with `mark` in its mark field.
+fn lane(fingerprint: u32, mark: u8) -> u64 {
+    u64::from(mark) << 16 | u64::from(fingerprint)
+}
 
 proptest! {
     /// PackedTable must behave exactly like a Vec<u64> of masked values.
@@ -60,6 +65,7 @@ proptest! {
     ) {
         let mut t = FingerprintTable::new(16, 4, 12).unwrap();
         for (op, bucket, fp) in ops {
+            let fp = u64::from(fp);
             match op {
                 0 => { let _ = t.try_insert(bucket, fp); }
                 1 => { let _ = t.remove_one(bucket, fp); }
@@ -78,8 +84,9 @@ proptest! {
         items in prop::collection::vec((0usize..32, 1u32..1 << 10), 1..120),
     ) {
         let mut t = FingerprintTable::new(32, 4, 10).unwrap();
-        let mut stored: Vec<(usize, u32)> = Vec::new();
+        let mut stored: Vec<(usize, u64)> = Vec::new();
         for (bucket, fp) in items {
+            let fp = u64::from(fp);
             if t.try_insert(bucket, fp).is_some() {
                 stored.push((bucket, fp));
             }
@@ -97,6 +104,7 @@ proptest! {
         copies in 1usize..4,
     ) {
         let mut t = FingerprintTable::new(8, 4, 12).unwrap();
+        let fp = u64::from(fp);
         for _ in 0..copies {
             t.try_insert(bucket, fp).unwrap();
         }
@@ -108,16 +116,16 @@ proptest! {
         prop_assert!(!t.remove_one(bucket, fp));
     }
 
-    /// MarkedTable roundtrips arbitrary (fingerprint, mark) pairs and
-    /// matches exactly.
+    /// A marked table (k = 8: three mark bits) roundtrips arbitrary
+    /// (fingerprint, mark) lanes and matches exactly.
     #[test]
     fn marked_roundtrip(
         entries in prop::collection::vec((0usize..16, 1u32..1 << 16, 0u8..8), 1..60),
     ) {
-        let mut t = MarkedTable::new(16, 4, 16, 8).unwrap();
+        let mut t = FingerprintTable::with_mark_bits(16, 4, 16, 3).unwrap();
         let mut stored = Vec::new();
         for (bucket, fingerprint, mark) in entries {
-            let entry = MarkedEntry { fingerprint, mark };
+            let entry = lane(fingerprint, mark);
             if t.try_insert(bucket, entry).is_some() {
                 stored.push((bucket, entry));
             }
@@ -132,18 +140,19 @@ proptest! {
         prop_assert_eq!(t.occupied(), 0);
     }
 
-    /// Marked swap conserves the multiset of entries plus the incoming one.
+    /// Swap in a marked table (k = 4: two mark bits) conserves the
+    /// multiset of entries plus the incoming one.
     #[test]
     fn marked_swap_conserves_entries(
         seed_entries in prop::collection::vec((1u32..100, 0u8..4), 1..=4),
         incoming_fp in 100u32..200,
     ) {
-        let mut t = MarkedTable::new(4, 4, 16, 4).unwrap();
+        let mut t = FingerprintTable::with_mark_bits(4, 4, 16, 2).unwrap();
         for (fp, mark) in &seed_entries {
-            t.try_insert(0, MarkedEntry { fingerprint: *fp, mark: *mark }).unwrap();
+            t.try_insert(0, lane(*fp, *mark)).unwrap();
         }
         let before = t.occupied();
-        let incoming = MarkedEntry { fingerprint: incoming_fp, mark: 1 };
+        let incoming = lane(incoming_fp, 1);
         let victim = t.swap(0, 0, incoming);
         prop_assert!(victim.is_some(), "seeded slot 0 must have been occupied");
         prop_assert_eq!(t.occupied(), before);

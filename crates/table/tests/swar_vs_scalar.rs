@@ -149,9 +149,9 @@ proptest! {
     ) {
         let slots = 4usize;
         let mut table = FingerprintTable::new(8, slots, fp_bits).unwrap();
-        let mut model: Vec<Vec<u32>> = vec![vec![0; slots]; 8];
+        let mut model: Vec<Vec<u64>> = vec![vec![0; slots]; 8];
         for (op, bucket, fp) in ops {
-            let fp = ((fp & ((1u64 << fp_bits) - 1)) as u32).max(1);
+            let fp = (fp & ((1u64 << fp_bits) - 1)).max(1);
             match op {
                 0 => {
                     let slot = table.try_insert(bucket, fp);
@@ -175,8 +175,8 @@ proptest! {
             for (slot, &model_fp) in model_bucket.iter().enumerate() {
                 prop_assert_eq!(table.get(bucket, slot), model_fp);
             }
-            for fp in 1u32..64 {
-                let fp = fp & (((1u64 << fp_bits) - 1) as u32);
+            for fp in 1u64..64 {
+                let fp = fp & ((1u64 << fp_bits) - 1);
                 if fp == 0 {
                     continue;
                 }
@@ -226,14 +226,14 @@ proptest! {
             match op {
                 0 => {
                     let claimed = atomic.try_claim(bucket, fp);
-                    let inserted = sequential.try_insert(bucket, fp);
+                    let inserted = sequential.try_insert(bucket, u64::from(fp));
                     prop_assert_eq!(claimed, inserted, "insert slot choice diverged");
                 }
                 _ => {
                     let atomic_removed = atomic
                         .find(bucket, fp)
                         .is_some_and(|slot| atomic.replace_expect(bucket, slot, fp, 0));
-                    let sequential_removed = sequential.remove_one(bucket, fp);
+                    let sequential_removed = sequential.remove_one(bucket, u64::from(fp));
                     prop_assert_eq!(atomic_removed, sequential_removed, "remove diverged");
                 }
             }
@@ -243,7 +243,7 @@ proptest! {
         for bucket in 0..buckets {
             for slot in 0..slots {
                 prop_assert_eq!(
-                    atomic.get(bucket, slot),
+                    u64::from(atomic.get(bucket, slot)),
                     sequential.get(bucket, slot),
                     "slot ({}, {}) diverged", bucket, slot
                 );
@@ -273,12 +273,12 @@ proptest! {
         for &lane in lanes.iter().take(slots) {
             let fp = ((lane & ((1u64 << fp_bits) - 1)) as u32).max(1);
             // Fill bucket 1 of both tables identically.
-            assert_eq!(atomic.try_claim(1, fp), sequential.try_insert(1, fp));
+            assert_eq!(atomic.try_claim(1, fp), sequential.try_insert(1, u64::from(fp)));
         }
         for probe in 1u32..128 {
             let probe = (probe & (((1u64 << fp_bits) - 1) as u32)).max(1);
-            prop_assert_eq!(atomic.contains(1, probe), sequential.contains(1, probe));
-            prop_assert_eq!(atomic.find(1, probe), sequential.find(1, probe));
+            prop_assert_eq!(atomic.contains(1, probe), sequential.contains(1, u64::from(probe)));
+            prop_assert_eq!(atomic.find(1, probe), sequential.find(1, u64::from(probe)));
             prop_assert_eq!(atomic.contains(0, probe), false, "empty bucket matched");
         }
     }
