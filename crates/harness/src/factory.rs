@@ -1,7 +1,7 @@
 //! Uniform construction of every filter the paper compares.
 
 use vcf_baselines::{CuckooFilter, DaryCuckooFilter};
-use vcf_core::{CuckooConfig, Dvcf, KVcf, VerticalCuckooFilter};
+use vcf_core::{CuckooConfig, Dvcf, VerticalCuckooFilter};
 use vcf_traits::{BuildError, Filter};
 
 /// Which filter to build.
@@ -22,11 +22,6 @@ pub enum FilterKind {
     Dvcf {
         /// Target fraction of four-candidate items.
         r: f64,
-    },
-    /// k-VCF with `k` candidates.
-    KVcf {
-        /// Number of candidate buckets.
-        k: usize,
     },
 }
 
@@ -90,15 +85,6 @@ impl FilterSpec {
         }
     }
 
-    /// k-VCF with `k` candidates.
-    pub fn kvcf(k: usize) -> Self {
-        Self {
-            kind: FilterKind::KVcf { k },
-            label: format!("{k}-VCF"),
-            r: f64::NAN,
-        }
-    }
-
     /// Builds the filter over `config`.
     ///
     /// # Errors
@@ -113,7 +99,6 @@ impl FilterSpec {
                 Box::new(VerticalCuckooFilter::with_mask_ones(config, ones)?)
             }
             FilterKind::Dvcf { r } => Box::new(Dvcf::with_r(config, r)?),
-            FilterKind::KVcf { k } => Box::new(KVcf::new(config, k)?),
         })
     }
 
@@ -158,9 +143,6 @@ mod tests {
             filter.insert(b"smoke").unwrap();
             assert!(filter.contains(b"smoke"), "{}", spec.label);
         }
-        let mut kv = FilterSpec::kvcf(6).build(config).unwrap();
-        kv.insert(b"smoke").unwrap();
-        assert!(kv.contains(b"smoke"));
     }
 
     #[test]
