@@ -106,7 +106,6 @@ impl SegKernel {
 /// let bucket = engine.read_bucket(&words, 3);
 /// assert_eq!(engine.find_in_bucket(&bucket, 0xabc), Some(2));
 /// assert_eq!(engine.first_empty_slot(&bucket), Some(0));
-/// assert_eq!(engine.bucket_len(&bucket), 1);
 /// # Ok::<(), vcf_traits::BuildError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -309,20 +308,6 @@ impl BucketEngine {
     #[inline]
     pub fn first_empty_slot(&self, bucket: &BucketWords) -> Option<usize> {
         self.find_field(bucket, 0, self.empty_field)
-    }
-
-    /// Number of occupied slots.
-    #[inline]
-    pub fn bucket_len(&self, bucket: &BucketWords) -> usize {
-        debug_assert!(self.segs <= MAX_BUCKET_SEGMENTS);
-        let mut empty = 0u32;
-        for seg in 0..self.segs {
-            empty += self
-                .kernel(seg)
-                .match_mask(bucket.segs[seg], 0, self.empty_field)
-                .count_ones();
-        }
-        self.slots - empty as usize
     }
 
     /// First slot where `lane & field == pattern & field`, or `None`.
@@ -541,8 +526,6 @@ mod tests {
                     );
                 }
                 assert_eq!(e.first_empty_slot(&bw), scalar_find(&e, &bw, 0));
-                let scalar_len = (0..slots).filter(|&s| e.lane(&bw, s) != 0).count();
-                assert_eq!(e.bucket_len(&bw), scalar_len, "w={width} b={slots}");
             }
         }
     }
@@ -558,7 +541,6 @@ mod tests {
         e.set_slot(&mut words, 0, 2, 7);
         let bw = e.read_bucket(&words, 0);
         assert_eq!(e.first_empty_slot(&bw), None, "padding must not look empty");
-        assert_eq!(e.bucket_len(&bw), 3);
         assert_eq!(e.find_in_bucket(&bw, 0), None);
     }
 
@@ -572,7 +554,6 @@ mod tests {
         e.set_slot(&mut words, 0, 1, (0b001 << 16) | 0xabcd);
         let bw = e.read_bucket(&words, 0);
         assert_eq!(e.first_empty_slot(&bw), Some(0));
-        assert_eq!(e.bucket_len(&bw), 1, "only slot 1 has a fingerprint");
         assert!(e.contains_in_bucket(&bw, (0b001 << 16) | 0xabcd));
         assert!(!e.contains_in_bucket(&bw, (0b010 << 16) | 0xabcd));
     }
@@ -585,7 +566,6 @@ mod tests {
         e.set_slot(&mut words, 0, 5, 0x1ab);
         let bw = e.read_bucket(&words, 0);
         assert_eq!(e.find_in_bucket(&bw, 0x1ab), Some(2));
-        assert_eq!(e.bucket_len(&bw), 2);
     }
 
     #[test]
@@ -597,12 +577,21 @@ mod tests {
         }
         for bucket in [0usize, 2] {
             let bw = e.read_bucket(&words, bucket);
-            assert_eq!(e.bucket_len(&bw), 0, "bucket {bucket} disturbed");
+            assert_eq!(
+                e.first_empty_slot(&bw),
+                Some(0),
+                "bucket {bucket} disturbed"
+            );
+            assert_eq!(
+                e.find_in_bucket(&bw, 0x1fff),
+                None,
+                "bucket {bucket} disturbed"
+            );
         }
         e.set_slot(&mut words, 0, 3, 0x0aaa);
         e.set_slot(&mut words, 2, 0, 0x1555);
         let bw = e.read_bucket(&words, 1);
-        assert_eq!(e.bucket_len(&bw), 4);
+        assert_eq!(e.first_empty_slot(&bw), None);
         assert_eq!(e.find_in_bucket(&bw, 0x1fff), Some(0));
     }
 }

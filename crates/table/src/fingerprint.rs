@@ -173,7 +173,7 @@ impl FingerprintTable {
 
     /// Loads `bucket`'s words once for repeated kernel probes.
     #[inline]
-    pub fn read_bucket(&self, bucket: usize) -> BucketWords {
+    fn read_bucket(&self, bucket: usize) -> BucketWords {
         debug_assert!(bucket < self.buckets, "bucket {bucket} out of range");
         self.engine.read_bucket(&self.words, bucket)
     }

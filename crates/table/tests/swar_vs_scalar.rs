@@ -68,10 +68,10 @@ proptest! {
         }
     }
 
-    /// Zero-sentinel duplicates: `first_empty_slot` and `bucket_len` agree
-    /// with the scalar loop when lanes are forced to be mostly zero/dup.
+    /// Zero-sentinel duplicates: `first_empty_slot` agrees with the
+    /// scalar loop when lanes are forced to be mostly zero/dup.
     #[test]
-    fn empty_and_len_match_scalar(
+    fn first_empty_matches_scalar(
         width in 1u32..=32,
         slots in 1usize..=8,
         // Small value domain: lots of zeros and collisions.
@@ -80,10 +80,6 @@ proptest! {
         let (engine, words) = build_bucket(slots, width, &lanes);
         let bucket = engine.read_bucket(&words, 0);
         prop_assert_eq!(engine.first_empty_slot(&bucket), scalar_find(&engine, &words, 0));
-        let scalar_len = (0..slots)
-            .filter(|&slot| engine.lane(&bucket, slot) != 0)
-            .count();
-        prop_assert_eq!(engine.bucket_len(&bucket), scalar_len);
     }
 
     /// The masked-field kernel (k-VCF's empty test) agrees with a scalar
@@ -131,11 +127,6 @@ proptest! {
             for slot in 0..slots {
                 prop_assert_eq!(engine.lane(&loaded, slot), model[bucket * slots + slot]);
             }
-            let model_len = model[bucket * slots..(bucket + 1) * slots]
-                .iter()
-                .filter(|&&v| v != 0)
-                .count();
-            prop_assert_eq!(engine.bucket_len(&loaded), model_len);
         }
     }
 

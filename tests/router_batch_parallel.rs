@@ -18,9 +18,13 @@ use vertical_cuckoo_filters::vcf::{
     CuckooConfig, ShardRouter, ShardedConcurrentVcf, ShardedScalableVcf, ShardedVcf,
 };
 
-/// Slots across all shards. Every batch below holds more than 16,384
-/// keys, the size from which the router spreads a batch over threads.
+/// Slots across all shards. Every batch of [`check_router`] holds more
+/// than 16,384 keys, the size from which the router spreads a batch over
+/// threads.
 const SLOTS: usize = 1 << 14;
+
+/// The router's parallel threshold (`MIN_PARALLEL_BATCH`).
+const PARALLEL: usize = 1 << 14;
 
 fn config() -> CuckooConfig {
     // A short kick limit keeps the overfilled batch's refusals cheap.
@@ -177,5 +181,120 @@ fn scalable_router_matches_per_shard_reference() {
 #[test]
 fn single_shard_router_runs_inline_and_matches() {
     let (_, _, refused) = check_router(|| ShardedConcurrentVcf::new(config(), 0).unwrap());
+    assert!(refused > 0, "an overfilled batch must refuse inserts");
+}
+
+/// Runs `batch` through insert, lookup and delete on a fresh router and
+/// on the per-shard reference, asserting equal results and state after
+/// each step.
+fn check_batch<F: ConcurrentFilter>(make: impl Fn() -> ShardRouter<F>, batch: &[&[u8]]) {
+    let router = make();
+    let reference = make();
+    let name = router.name();
+    let expected = per_shard(&reference, batch, Ok(()), ConcurrentFilter::insert_batch);
+    assert_eq!(router.insert_batch(batch), expected, "{name}: insert");
+    assert_same_state(&router, &reference, "insert");
+    let expected = per_shard(&reference, batch, false, ConcurrentFilter::contains_batch);
+    assert_eq!(router.contains_batch(batch), expected, "{name}: lookup");
+    let expected = per_shard(&reference, batch, false, ConcurrentFilter::delete_batch);
+    assert_eq!(router.delete_batch(batch), expected, "{name}: delete");
+    assert_same_state(&router, &reference, "delete");
+}
+
+/// [`check_batch`] on all three router types with `2^shard_bits` shards.
+fn check_every_router(batch: &[Vec<u8>], shard_bits: u32) {
+    let refs: Vec<&[u8]> = batch.iter().map(Vec::as_slice).collect();
+    check_batch(
+        || ShardedConcurrentVcf::new(config(), shard_bits).unwrap(),
+        &refs,
+    );
+    check_batch(|| ShardedVcf::new(config(), shard_bits).unwrap(), &refs);
+    check_batch(
+        || ShardedScalableVcf::new(config(), shard_bits).unwrap(),
+        &refs,
+    );
+}
+
+/// The first `count` keys that a 4-shard router sends to one of `shards`.
+fn keys_on_shards(shards: &[usize], count: usize) -> Vec<Vec<u8>> {
+    let probe = ShardedVcf::new(config(), 2).unwrap();
+    (0..)
+        .map(|i| format!("routed-{i}").into_bytes())
+        .filter(|key| shards.contains(&probe.shard_of(key)))
+        .take(count)
+        .collect()
+}
+
+#[test]
+fn batches_on_each_side_of_the_threshold_match() {
+    for len in [PARALLEL - 1, PARALLEL] {
+        check_every_router(&keys("edge", 0..len), 4);
+    }
+}
+
+#[test]
+fn batch_on_a_single_shard_matches() {
+    // Every key routes to shard 2: more threads than non-empty shards.
+    check_every_router(&keys_on_shards(&[2], PARALLEL), 2);
+}
+
+#[test]
+fn batch_that_leaves_two_shards_empty_matches() {
+    check_every_router(&keys_on_shards(&[1, 2], 2 * PARALLEL), 2);
+}
+
+#[test]
+fn copies_routed_by_different_threads_keep_input_order() {
+    // Room for every key, so both copies are stored.
+    let config = CuckooConfig::with_total_slots(4 * PARALLEL).with_seed(0x5eed);
+    let key = b"twice".to_vec();
+    let mut batch = keys("filler", 0..PARALLEL);
+    batch[0].clone_from(&key);
+    batch[PARALLEL - 1].clone_from(&key);
+    let inserts: Vec<&[u8]> = batch.iter().map(Vec::as_slice).collect();
+    let mut doomed = keys("absent", 0..PARALLEL);
+    for pos in [0, PARALLEL / 2, PARALLEL - 1] {
+        doomed[pos].clone_from(&key);
+    }
+    let deletes: Vec<&[u8]> = doomed.iter().map(Vec::as_slice).collect();
+    fn check<F: ConcurrentFilter>(
+        make: impl Fn() -> ShardRouter<F>,
+        inserts: &[&[u8]],
+        deletes: &[&[u8]],
+    ) {
+        let router = make();
+        let reference = make();
+        let name = router.name();
+        let stored = router.insert_batch(inserts);
+        assert!(stored.iter().all(Result::is_ok), "{name}: insert");
+        let expected = per_shard(&reference, inserts, Ok(()), ConcurrentFilter::insert_batch);
+        assert_eq!(stored, expected, "{name}: insert");
+        let deleted = router.delete_batch(deletes);
+        let expected = per_shard(&reference, deletes, false, ConcurrentFilter::delete_batch);
+        assert_eq!(deleted, expected, "{name}: delete");
+        let copies = [0, PARALLEL / 2, PARALLEL - 1].map(|pos| deleted[pos]);
+        assert_eq!(copies, [true, true, false], "{name}: two copies stored");
+        assert_same_state(&router, &reference, "delete");
+        assert!(!router.contains(b"twice"), "{name}");
+    }
+    check(
+        || ShardedConcurrentVcf::new(config, 4).unwrap(),
+        &inserts,
+        &deletes,
+    );
+    check(|| ShardedVcf::new(config, 4).unwrap(), &inserts, &deletes);
+    check(
+        || ShardedScalableVcf::new(config, 4).unwrap(),
+        &inserts,
+        &deletes,
+    );
+}
+
+#[test]
+fn wide_router_matches_per_shard_reference() {
+    // 2^10 shards of 4 buckets: each of the 2^8 buckets the batch is
+    // grouped by holds 4 shards, split in place, and the overfilled
+    // batch's refusals depend on each shard seeing its keys in order.
+    let (_, _, refused) = check_router(|| ShardedConcurrentVcf::new(config(), 10).unwrap());
     assert!(refused > 0, "an overfilled batch must refuse inserts");
 }
