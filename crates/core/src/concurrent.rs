@@ -811,6 +811,12 @@ impl ConcurrentVcf {
         self.table.load_factor()
     }
 
+    /// Iterates `(bucket, slot, fingerprint)` over occupied slots. Only
+    /// meaningful at quiescence (no concurrent writers).
+    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, u32)> + '_ {
+        self.table.iter()
+    }
+
     /// Snapshot of the operation counters.
     pub fn stats(&self) -> Stats {
         self.counters.snapshot()
