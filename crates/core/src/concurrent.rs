@@ -493,6 +493,7 @@ impl ConcurrentVcf {
     /// Places one derived key: CAS-claim a free lane in the first
     /// candidate bucket, in candidate order, that has one (Algorithm 1's
     /// first fit), else run the relocation walk. Counts into `stats`.
+    #[inline]
     fn insert_key(
         &self,
         fingerprint: u32,
@@ -501,23 +502,36 @@ impl ConcurrentVcf {
     ) -> Result<(), InsertError> {
         stats.hash_computations += 2; // hash(x) + hash(η)
         let (buckets, len) = distinct(cands.buckets);
-        let buckets = &buckets[..len];
         let slots = self.table.slots_per_bucket() as u64;
+        for (tried, &bucket) in (1u64..).zip(&buckets[..len]) {
+            if self.table.try_claim(bucket, fingerprint).is_some() {
+                stats.inserts += OpCounters::one_call(tried * slots, 4);
+                return Ok(());
+            }
+        }
+        self.kick_walk(fingerprint, cands, &buckets[..len], stats)
+    }
 
-        let mut probes = 0u64;
+    /// The relocation walk of an insert whose first fit found every
+    /// candidate in `buckets` full: find and execute a relocation chain,
+    /// re-try the first fit after each failed chain (concurrent deletes
+    /// may free slots meanwhile), and give up after `max_kicks` kicks.
+    /// Charges the whole insert, first fit included, to `stats`.
+    #[cold]
+    #[inline(never)]
+    fn kick_walk(
+        &self,
+        fingerprint: u32,
+        cands: &Candidates,
+        buckets: &[usize],
+        stats: &mut Stats,
+    ) -> Result<(), InsertError> {
+        let slots = self.table.slots_per_bucket() as u64;
+        let mut probes = buckets.len() as u64 * slots;
         let mut kicks = 0u64;
         let mut rng: Option<SmallRng> = None;
         let mut path = [(0, 0, 0); MAX_PATH];
         let result = 'walk: loop {
-            // Fast path: CAS-claim an empty lane in a candidate bucket.
-            // Re-run each round — concurrent deletes may free slots while
-            // we are path-hunting.
-            for &bucket in buckets {
-                probes += slots;
-                if self.table.try_claim(bucket, fingerprint).is_some() {
-                    break 'walk Ok(());
-                }
-            }
             if kicks >= u64::from(self.max_kicks) {
                 stats.failed_inserts += 1;
                 break Err(InsertError::Full { kicks });
@@ -539,6 +553,12 @@ impl ConcurrentVcf {
                     // fingerprints consistently. Retry from scratch.
                 }
                 None => kicks += 1,
+            }
+            for &bucket in buckets {
+                probes += slots;
+                if self.table.try_claim(bucket, fingerprint).is_some() {
+                    break 'walk Ok(());
+                }
             }
         };
         stats.kicks += kicks;

@@ -13,7 +13,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use vcf_hash::HashKind;
 use vcf_table::FingerprintTable;
-use vcf_traits::{Counters, Filter, InsertError, Stats};
+use vcf_traits::{Counters, Filter, InsertError, OpCounters, Stats};
 
 /// Keys hashed, and their candidate buckets prefetched, ahead of the
 /// first probe or placement of a batch window — in every batch pipeline
@@ -81,13 +81,23 @@ impl Key {
     }
 }
 
-/// Work one placement did; the caller flushes it into its counters.
+/// Work one placement did; the caller charges it to its local [`Stats`].
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct Tally {
     pub(crate) probes: u64,
     pub(crate) accesses: u64,
     pub(crate) kicks: u64,
     pub(crate) hashes: u64,
+}
+
+impl Tally {
+    /// Charges one insert call that did this work and ended in `result`.
+    pub(crate) fn charge(&self, stats: &mut Stats, result: &Result<(), InsertError>) {
+        stats.inserts += OpCounters::one_call(self.probes, self.accesses);
+        stats.kicks += self.kicks;
+        stats.hash_computations += self.hashes;
+        stats.failed_inserts += u64::from(result.is_err());
+    }
 }
 
 /// The eviction walk's state: the victim-selection PRNG, the kick limit
@@ -301,19 +311,12 @@ impl<P: CandidatePolicy> CuckooCore<P> {
         }
     }
 
-    /// Places a hashed item and records the insert.
-    fn insert_key(&mut self, key: Key) -> Result<(), InsertError> {
+    /// Places a hashed item and counts the insert into `stats`.
+    fn insert_key(&mut self, key: Key, stats: &mut Stats) -> Result<(), InsertError> {
         let (result, t) = self
             .walk
             .place(&self.policy, &mut self.table, self.hash, key);
-        // Both skip a zero delta: first fit, the common case, kicks
-        // nothing and hashes nothing more.
-        self.counters.add_kicks(t.kicks);
-        self.counters.add_hashes(t.hashes);
-        self.counters.record_insert(t.probes, t.accesses);
-        if result.is_err() {
-            self.counters.add_failed_insert();
-        }
+        t.charge(stats, &result);
         result
     }
 }
@@ -323,24 +326,29 @@ impl<P: CandidatePolicy> Filter for CuckooCore<P> {
     /// Algorithm 1: first fit, then the random walk with rollback.
     fn insert(&mut self, item: &[u8]) -> Result<(), InsertError> {
         let key = self.key(item);
-        self.counters.add_hashes(2); // hash(x) + hash(η)
-        self.insert_key(key)
+        let mut stats = Stats::new();
+        stats.hash_computations = 2; // hash(x) + hash(η)
+        let result = self.insert_key(key, &mut stats);
+        self.counters.add(&stats);
+        result
     }
 
     // lint: hot-path
     /// Pipelined Algorithm 1: hashes and prefetches a window of items
     /// (`prefetch_window`), then places them in item order
-    /// through the serial path.
+    /// through the serial path, and publishes the batch's counters once.
     fn insert_batch(&mut self, items: &[&[u8]]) -> Vec<Result<(), InsertError>> {
         let mut out = Vec::with_capacity(items.len());
         let mut window = Vec::with_capacity(WINDOW);
+        let mut stats = Stats::new();
+        stats.hash_computations = 2 * items.len() as u64; // hash(x) + hash(η)
         for chunk in items.chunks(WINDOW) {
             self.prefetch_window(chunk, &mut window);
-            self.counters.add_hashes(2 * chunk.len() as u64);
             for &key in &window {
-                out.push(self.insert_key(key));
+                out.push(self.insert_key(key, &mut stats));
             }
         }
+        self.counters.add(&stats);
         out
     }
 
@@ -364,11 +372,13 @@ impl<P: CandidatePolicy> Filter for CuckooCore<P> {
     // lint: hot-path
     /// Batched Algorithm 2: probes each window of items
     /// (`prefetch_window`) against lines already in flight;
-    /// every candidate is charged whatever the probe finds.
+    /// every candidate is charged whatever the probe finds, and the
+    /// batch's counters are published once.
     fn contains_batch(&self, items: &[&[u8]]) -> Vec<bool> {
         let slots = self.table.slots_per_bucket() as u64;
         let mut out = Vec::with_capacity(items.len());
         let mut window = Vec::with_capacity(WINDOW);
+        let mut stats = Stats::new();
         for chunk in items.chunks(WINDOW) {
             self.prefetch_window(chunk, &mut window);
             for &key in &window {
@@ -377,10 +387,11 @@ impl<P: CandidatePolicy> Filter for CuckooCore<P> {
                     let (bucket, entry) = self.candidate(key, e);
                     self.table.contains(bucket, entry)
                 });
-                self.counters.record_lookup(k as u64 * slots, k as u64);
+                stats.lookups += OpCounters::one_call(k as u64 * slots, k as u64);
                 out.push(found);
             }
         }
+        self.counters.add(&stats);
         out
     }
 

@@ -72,7 +72,7 @@ use crate::key;
 use crate::vertical::VerticalParams;
 use vcf_hash::HashKind;
 use vcf_table::FingerprintTable;
-use vcf_traits::{BuildError, Counters, Filter, InsertError, Stats};
+use vcf_traits::{BuildError, Counters, Filter, InsertError, OpCounters, Stats};
 
 /// Bit position in `hash(η)` where the partition selector starts. The
 /// XOR offsets consume at most `base_bits < 32` low bits, so selector
@@ -516,9 +516,7 @@ impl ScalableVcf {
     }
 
     /// Places `key` into the active segment through the shared eviction
-    /// walk, adding its probe/access work to `work` (kicks and extra
-    /// fingerprint hashes flush straight to the counters, as the
-    /// fixed-size filter does).
+    /// walk, adding its work to `work`.
     fn place_active(&mut self, key: Key, work: &mut Tally) -> Result<(), InsertError> {
         let Some(part_bits) = self.segments.last().map(|a| a.part_bits) else {
             return Err(InsertError::Full { kicks: 0 });
@@ -530,8 +528,8 @@ impl ScalableVcf {
         let (result, t) = self.walk.place(&policy, &mut active.table, self.hash, key);
         work.probes += t.probes;
         work.accesses += t.accesses;
-        self.counters.add_kicks(t.kicks);
-        self.counters.add_hashes(t.hashes);
+        work.kicks += t.kicks;
+        work.hashes += t.hashes;
         result
     }
 
@@ -556,8 +554,9 @@ impl ScalableVcf {
         }
     }
 
-    /// Probes the chain newest-first for `key` and records the lookup.
-    fn lookup(&self, key: Key) -> bool {
+    /// Probes the chain newest-first for `key` and counts the lookup
+    /// into `stats`.
+    fn lookup(&self, key: Key, stats: &mut Stats) -> bool {
         let mut probes = 0u64;
         let mut accesses = 0u64;
         let mut found = false;
@@ -570,14 +569,14 @@ impl ScalableVcf {
                 break;
             }
         }
-        self.counters.record_lookup(probes, accesses);
+        stats.lookups += OpCounters::one_call(probes, accesses);
         found
     }
 
     /// One insert's worth of work: amortized migration, proactive
     /// growth, placement, reactive growth + retry on a full active
-    /// segment. Exactly one logical insert is recorded.
-    fn insert_key(&mut self, key: Key) -> Result<(), InsertError> {
+    /// segment. Exactly one logical insert is counted into `stats`.
+    fn insert_key(&mut self, key: Key, stats: &mut Stats) -> Result<(), InsertError> {
         self.migration.last_op_buckets = 0;
         if self.migrate_budget > 0 && self.segments.len() > 1 {
             let drained = self.migrate_step(self.migrate_budget);
@@ -599,10 +598,7 @@ impl ScalableVcf {
             }
             other => other,
         };
-        self.counters.record_insert(work.probes, work.accesses);
-        if result.is_err() {
-            self.counters.add_failed_insert();
-        }
+        work.charge(stats, &result);
         result
     }
 
@@ -780,25 +776,30 @@ impl Filter for ScalableVcf {
     /// and growing the chain when the active segment is (nearly) full.
     fn insert(&mut self, item: &[u8]) -> Result<(), InsertError> {
         let key = self.key_of(item);
-        self.counters.add_hashes(2); // hash(x) + hash(η)
-        self.insert_key(key)
+        let mut stats = Stats::new();
+        stats.hash_computations = 2; // hash(x) + hash(η)
+        let result = self.insert_key(key, &mut stats);
+        self.counters.add(&stats);
+        result
     }
 
     // lint: hot-path
     /// Pipelined insert: hashes and prefetches a window of items against
     /// the active segment, then places in item order through the exact
     /// serial path (same PRNG consumption, same growth/migration
-    /// schedule).
+    /// schedule), and publishes the batch's counters once.
     fn insert_batch(&mut self, items: &[&[u8]]) -> Vec<Result<(), InsertError>> {
         let mut out = Vec::with_capacity(items.len());
         let mut window = Vec::with_capacity(WINDOW);
+        let mut stats = Stats::new();
+        stats.hash_computations = 2 * items.len() as u64; // hash(x) + hash(η)
         for chunk in items.chunks(WINDOW) {
             self.prefetch_window(chunk, self.segments.last(), &mut window);
-            self.counters.add_hashes(2 * chunk.len() as u64);
             for &key in &window {
-                out.push(self.insert_key(key));
+                out.push(self.insert_key(key, &mut stats));
             }
         }
+        self.counters.add(&stats);
         out
     }
 
@@ -806,21 +807,26 @@ impl Filter for ScalableVcf {
     /// Probes the chain newest-first: an item's four candidate buckets
     /// in each segment (coset lows OR the segment's partition base).
     fn contains(&self, item: &[u8]) -> bool {
-        self.lookup(self.key_of(item))
+        let mut stats = Stats::new();
+        let found = self.lookup(self.key_of(item), &mut stats);
+        self.counters.add(&stats);
+        found
     }
 
     // lint: hot-path
     /// Batched lookup over the whole chain: hashes and prefetches a
     /// window of items against *every* segment, then probes each
     /// newest-first — the fixed-size filter's pipeline extended with the
-    /// segment fan-out.
+    /// segment fan-out — and publishes the batch's counters once.
     fn contains_batch(&self, items: &[&[u8]]) -> Vec<bool> {
         let mut out = Vec::with_capacity(items.len());
         let mut window = Vec::with_capacity(WINDOW);
+        let mut stats = Stats::new();
         for chunk in items.chunks(WINDOW) {
             self.prefetch_window(chunk, &self.segments, &mut window);
-            out.extend(window.iter().map(|&key| self.lookup(key)));
+            out.extend(window.iter().map(|&key| self.lookup(key, &mut stats)));
         }
+        self.counters.add(&stats);
         out
     }
 

@@ -12,16 +12,43 @@
 //! clock overhead. The median ns/iter (and derived element throughput,
 //! when set) is printed in a criterion-like one-line format. There are
 //! no statistical reports, baselines, or plots.
+//!
+//! As in criterion, the first command-line argument that is not a flag
+//! is a substring filter: `cargo bench --bench insert_throughput --
+//! insert/router` runs only the benchmarks whose `group/id` contains
+//! `insert/router`, and skips the rest without running their set-up.
+//! Flags take no value here.
 
 #![forbid(unsafe_code)]
 
 use std::fmt::Display;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Target wall-clock time per recorded sample.
 const SAMPLE_TARGET: Duration = Duration::from_millis(5);
 /// Warm-up budget before sampling starts.
 const WARMUP_TARGET: Duration = Duration::from_millis(50);
+
+/// The process's benchmark filter, set once by [`criterion_main!`].
+static FILTER: OnceLock<Option<String>> = OnceLock::new();
+
+/// The first argument that is not a flag, if any.
+fn filter_from(mut args: impl Iterator<Item = String>) -> Option<String> {
+    args.find(|arg| !arg.starts_with('-'))
+}
+
+/// Whether the benchmark `name` (`group/id`) passes `filter`.
+fn selected(filter: Option<&str>, name: &str) -> bool {
+    filter.is_none_or(|filter| name.contains(filter))
+}
+
+/// Reads the benchmark filter from the command line; [`criterion_main!`]
+/// calls it before running any group.
+#[doc(hidden)]
+pub fn init_filter_from_args() {
+    FILTER.get_or_init(|| filter_from(std::env::args().skip(1)));
+}
 
 /// How measured quantities relate to throughput reporting.
 #[derive(Debug, Clone, Copy)]
@@ -190,12 +217,15 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Runs and reports one benchmark.
+    /// Runs and reports one benchmark, unless the filter skips it.
     pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, f: F) -> &mut Self
     where
         F: FnOnce(&mut Bencher),
     {
         let id = id.into();
+        if !self.criterion.selects(&format!("{}/{}", self.name, id.id)) {
+            return self;
+        }
         let mut bencher = Bencher::new(self.criterion.sample_size);
         f(&mut bencher);
         let ns = bencher.median_ns();
@@ -222,11 +252,16 @@ impl BenchmarkGroup<'_> {
 /// The benchmark harness entry point.
 pub struct Criterion {
     sample_size: usize,
+    /// Substring a benchmark's name must contain to run.
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
-        Self { sample_size: 20 }
+        Self {
+            sample_size: 20,
+            filter: FILTER.get().cloned().flatten(),
+        }
     }
 }
 
@@ -246,12 +281,19 @@ impl Criterion {
         }
     }
 
-    /// Runs a single ungrouped benchmark.
+    fn selects(&self, name: &str) -> bool {
+        selected(self.filter.as_deref(), name)
+    }
+
+    /// Runs a single ungrouped benchmark, unless the filter skips it.
     pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, f: F) -> &mut Self
     where
         F: FnOnce(&mut Bencher),
     {
         let id = id.into();
+        if !self.selects(&id.id) {
+            return self;
+        }
         let mut bencher = Bencher::new(self.sample_size);
         f(&mut bencher);
         let ns = bencher.median_ns();
@@ -307,11 +349,13 @@ macro_rules! criterion_group {
     };
 }
 
-/// Declares `main` running the listed benchmark groups.
+/// Declares `main` running the listed benchmark groups, filtered by the
+/// first non-flag command-line argument.
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
+            $crate::init_filter_from_args();
             $($group();)+
         }
     };
@@ -362,6 +406,51 @@ mod tests {
             b.iter(|| std::hint::black_box(2 + 2));
         });
         g.finish();
+    }
+
+    #[test]
+    fn filter_is_the_first_non_flag_argument() {
+        let args = |list: &[&str]| list.iter().map(|a| (*a).to_owned()).collect::<Vec<_>>();
+        assert_eq!(filter_from(args(&["--bench"]).into_iter()), None);
+        assert_eq!(
+            filter_from(args(&["--bench", "insert/router", "x"]).into_iter()),
+            Some("insert/router".to_owned())
+        );
+        assert_eq!(
+            filter_from(args(&["fill95", "--bench"]).into_iter()),
+            Some("fill95".to_owned())
+        );
+    }
+
+    #[test]
+    fn filter_matches_a_substring_of_group_and_id() {
+        let name = "insert/router/ShardedConcurrentVCF[16]_shard_loop";
+        assert!(selected(None, name));
+        assert!(selected(Some("insert/router"), name));
+        assert!(selected(Some("VCF[16]_shard"), name));
+        assert!(selected(Some(name), name));
+        assert!(!selected(Some("insert/fill95"), name));
+        assert!(!selected(Some("Insert/router"), name), "case-sensitive");
+    }
+
+    #[test]
+    fn filtered_out_benchmarks_never_run() {
+        let mut c = Criterion {
+            sample_size: 2,
+            filter: Some("keep".to_owned()),
+        };
+        let (mut kept, mut skipped) = (false, false);
+        let mut g = c.benchmark_group("shim");
+        g.bench_function("keep_me", |b| {
+            kept = true;
+            b.iter(|| 1);
+        });
+        g.bench_function("drop_me", |_| skipped = true);
+        g.finish();
+        c.bench_function("shim/drop_me_too", |_| skipped = true);
+        c.bench_function("keep/ungrouped", |b| b.iter(|| 2));
+        assert!(kept);
+        assert!(!skipped, "a filtered-out closure ran");
     }
 
     #[test]

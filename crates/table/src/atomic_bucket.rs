@@ -1,22 +1,27 @@
 //! Atomic counterpart of the bucket engine: lock-free word-level probing
 //! and CAS-based slot updates over `AtomicU64` storage.
 //!
-//! [`AtomicBucketEngine`] reuses the [`BucketEngine`] layout and SWAR
-//! kernels but operates on `&[AtomicU64]` words, so concurrent filters can
-//! probe and mutate buckets without a table-wide lock:
+//! [`AtomicBucketEngine`] reuses the [`BucketEngine`] layout but operates
+//! on `&[AtomicU64]` words, so concurrent filters can probe and mutate
+//! buckets without a table-wide lock:
 //!
-//! * **Loads are per-word atomic.** A bucket view assembled from several
-//!   words may be *torn across words* under concurrent writes — each lane
-//!   is still internally consistent because the engine only accepts
-//!   geometries where every lane fits inside one 64-bit word
-//!   (`slot_word_shift` is `Some` for every slot). A torn multi-word view
-//!   is indistinguishable from some interleaving of the racing operations,
-//!   which is exactly the consistency a lock-free probe needs.
+//! * **Probes are per word.** The engine only accepts geometries where
+//!   every lane fits inside one 64-bit word, and in each of those a word
+//!   holds a run of whole lanes from bit 0. So a probe loads one word at
+//!   a time (`Relaxed`) and tests all its lanes with one `u64`
+//!   broadcast-compare: [`BucketEngine`]'s SWAR trick, with constants per
+//!   word computed at construction. It never assembles a
+//!   [`BucketWords`](crate::BucketWords) view. A multi-word bucket may be
+//!   read *torn across words* under concurrent writes; each lane is still
+//!   internally consistent, and a torn read is indistinguishable from
+//!   some interleaving of the racing operations, which is exactly the
+//!   consistency a lock-free probe needs.
 //! * **Writes are single-word CAS.** [`try_claim`](AtomicBucketEngine::try_claim)
-//!   fills the first empty lane by CAS-ing the whole word (empty lanes are
-//!   zero, so the claim is an OR); [`replace_expect`](AtomicBucketEngine::replace_expect)
-//!   swaps a lane only while it still holds the expected value, retrying
-//!   when *other* lanes of the same word changed underneath.
+//!   fills the first empty lane of the first word that has one by CAS-ing
+//!   the whole word (empty lanes are zero, so the claim is an OR);
+//!   [`replace_expect`](AtomicBucketEngine::replace_expect) swaps a lane
+//!   only while it still holds the expected value, retrying when *other*
+//!   lanes of the same word changed underneath.
 //!
 //! Memory ordering: data loads are `Relaxed` — the stored fingerprints
 //! *are* the data, nothing is published through them — and successful CAS
@@ -28,15 +33,44 @@
 //! [`AtomicFingerprintTable`] owns the `AtomicU64` buffer plus an exact
 //! occupancy counter and mirrors the sequential [`FingerprintTable`] API
 //! with `&self` mutators.
+//!
+//! [`FingerprintTable`]: crate::FingerprintTable
 
-use crate::bucket::{BucketEngine, BucketWords};
+use crate::bucket::BucketEngine;
 use crate::prefetch::prefetch_read;
 use crate::{MAX_BUCKET_SLOTS, MAX_FINGERPRINT_BITS, MIN_FINGERPRINT_BITS};
 use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use vcf_traits::BuildError;
 
-/// Upper bound on `u64` words per bucket (4 segments × 2 words).
-const MAX_BUCKET_WORDS: usize = 8;
+/// SWAR constants for one bucket word of `lanes` lanes from bit 0 (see
+/// the compare trick in the `bucket` module).
+#[derive(Debug, Clone, Copy)]
+struct WordKernel {
+    ones: u64,
+    lows: u64,
+    highs: u64,
+}
+
+impl WordKernel {
+    fn new(lanes: usize, width: u32) -> Self {
+        let ones = (0..lanes as u32).fold(0u64, |ones, lane| ones | 1 << (lane * width));
+        let highs = ones << (width - 1);
+        Self {
+            ones,
+            lows: highs - ones,
+            highs,
+        }
+    }
+
+    /// MSB-per-lane mask of the lanes of `x` equal to `pattern`. Bits
+    /// past the last lane are zero in storage and outside `highs`.
+    #[inline]
+    fn match_mask(&self, x: u64, pattern: u64) -> u64 {
+        let y = x ^ self.ones.wrapping_mul(pattern);
+        let t = (y & self.lows).wrapping_add(self.lows);
+        !(t | y) & self.highs
+    }
+}
 
 /// Lock-free probing and CAS mutation over `AtomicU64` bucket words.
 ///
@@ -56,7 +90,7 @@ const MAX_BUCKET_WORDS: usize = 8;
 ///     .map(|_| AtomicU64::new(0))
 ///     .collect();
 /// assert_eq!(engine.try_claim(&words, 3, 0xabc), Some(0));
-/// assert!(engine.contains(&words, 3, 0xabc));
+/// assert_eq!(engine.find(&words, 3, 0xabc), Some(0));
 /// assert!(engine.replace_expect(&words, 3, 0, 0xabc, 0));
 /// assert!(!engine.contains(&words, 3, 0xabc));
 /// # Ok::<(), vcf_traits::BuildError>(())
@@ -64,7 +98,22 @@ const MAX_BUCKET_WORDS: usize = 8;
 #[derive(Debug, Clone, Copy)]
 pub struct AtomicBucketEngine {
     engine: BucketEngine,
-    /// Per-slot `(word-in-bucket, shift)`; straddle-free by construction.
+    /// Bucket stride in words.
+    words_per_bucket: usize,
+    /// Leading words of a bucket that hold lanes; the rest, if any, is
+    /// padding (e.g. the fourth word of a 5 × 32-bit bucket).
+    lane_words: usize,
+    /// Lanes in every lane word but the last: word `k` holds slots
+    /// `k · lanes_per_word ..`.
+    lanes_per_word: usize,
+    /// `⌈2^16 / width⌉`: `bit · recip >> 16 = bit / width` for any bit
+    /// of a word, without a division.
+    width_recip: u32,
+    /// Kernel for words `0..lane_words − 1`.
+    full: WordKernel,
+    /// Kernel for the last lane word (may hold fewer lanes).
+    last: WordKernel,
+    /// Per-slot `(word-in-bucket, shift)`.
     slot_words: [(u8, u8); MAX_BUCKET_SLOTS],
 }
 
@@ -80,27 +129,39 @@ impl AtomicBucketEngine {
     /// could not update such a lane atomically.
     pub fn new(slots: usize, width: u32) -> Result<Self, BuildError> {
         let engine = BucketEngine::new(slots, width)?;
+        // No lane straddles, so each word holds a run of whole lanes from
+        // bit 0: all of them in one word, or 64 / width per word.
+        let lanes_per_word = slots.min(64 / width as usize);
         let mut slot_words = [(0u8, 0u8); MAX_BUCKET_SLOTS];
         for (slot, out) in slot_words.iter_mut().enumerate().take(slots) {
-            match engine.slot_word_shift(slot) {
-                Some((word, shift)) => *out = (word as u8, shift as u8),
-                None => {
-                    return Err(BuildError::InvalidConfig {
-                        reason: format!(
-                            "slot {slot} of a {slots}x{width}-bit bucket straddles a word \
-                             boundary; the atomic engine needs single-word lanes"
-                        ),
-                    })
-                }
-            }
+            let Some((word, shift)) = engine.slot_word_shift(slot) else {
+                return Err(BuildError::InvalidConfig {
+                    reason: format!(
+                        "slot {slot} of a {slots}x{width}-bit bucket straddles a word \
+                         boundary; the atomic engine needs single-word lanes"
+                    ),
+                });
+            };
+            debug_assert_eq!(
+                (word, shift),
+                (
+                    slot / lanes_per_word,
+                    (slot % lanes_per_word) as u32 * width
+                )
+            );
+            *out = (word as u8, shift as u8);
         }
-        Ok(Self { engine, slot_words })
-    }
-
-    /// The wrapped sequential engine (geometry + SWAR kernels).
-    #[inline]
-    pub fn engine(&self) -> &BucketEngine {
-        &self.engine
+        let lane_words = slots.div_ceil(lanes_per_word);
+        Ok(Self {
+            engine,
+            words_per_bucket: engine.words_per_bucket(),
+            lane_words,
+            lanes_per_word,
+            width_recip: (1u32 << 16).div_ceil(width),
+            full: WordKernel::new(lanes_per_word, width),
+            last: WordKernel::new(slots - (lane_words - 1) * lanes_per_word, width),
+            slot_words,
+        })
     }
 
     /// Slots per bucket.
@@ -126,17 +187,31 @@ impl AtomicBucketEngine {
         self.engine.storage_words(buckets)
     }
 
-    /// Loads all of `bucket`'s words (one `Relaxed` atomic load each) into
-    /// a [`BucketWords`] view for the SWAR kernels.
+    /// `bucket`'s lane words, each paired with its kernel and first slot.
     #[inline]
-    pub fn load_bucket(&self, words: &[AtomicU64], bucket: usize) -> BucketWords {
-        let wpb = self.engine.words_per_bucket();
-        let base = bucket * wpb;
-        let mut buf = [0u64; MAX_BUCKET_WORDS];
-        for (out, word) in buf.iter_mut().zip(&words[base..base + wpb]) {
-            *out = word.load(Ordering::Relaxed);
-        }
-        self.engine.read_bucket(&buf[..wpb], 0)
+    fn bucket_words<'a>(
+        &'a self,
+        words: &'a [AtomicU64],
+        bucket: usize,
+    ) -> impl Iterator<Item = (&'a AtomicU64, &'a WordKernel, usize)> + 'a {
+        let base = bucket * self.words_per_bucket;
+        words[base..base + self.lane_words]
+            .iter()
+            .enumerate()
+            .map(move |(k, word)| {
+                let kernel = if k + 1 == self.lane_words {
+                    &self.last
+                } else {
+                    &self.full
+                };
+                (word, kernel, k * self.lanes_per_word)
+            })
+    }
+
+    /// The lane whose MSB is the lowest set bit of a non-zero `mask`.
+    #[inline]
+    fn first_lane(&self, mask: u64) -> usize {
+        ((mask.trailing_zeros() * self.width_recip) >> 16) as usize
     }
 
     /// Reads one lane with a single `Relaxed` atomic load.
@@ -144,22 +219,37 @@ impl AtomicBucketEngine {
     pub fn get_slot(&self, words: &[AtomicU64], bucket: usize, slot: usize) -> u64 {
         debug_assert!(slot < self.slots(), "slot {slot} out of range");
         let (word, shift) = self.slot_words[slot];
-        let base = bucket * self.engine.words_per_bucket();
-        let raw = words[base + word as usize].load(Ordering::Relaxed);
+        let raw = words[bucket * self.words_per_bucket + word as usize].load(Ordering::Relaxed);
         (raw >> shift) & self.lane_mask()
     }
 
-    /// Whether any lane of `bucket` currently equals `pattern` (one torn
-    /// load per word; see the module docs for the consistency contract).
+    /// Whether any lane of `bucket` currently equals `pattern` (one
+    /// `Relaxed` load per word; see the module docs for the consistency
+    /// contract).
     #[inline]
     pub fn contains(&self, words: &[AtomicU64], bucket: usize, pattern: u64) -> bool {
-        let loaded = self.load_bucket(words, bucket);
-        self.engine.contains_in_bucket(&loaded, pattern)
+        self.find(words, bucket, pattern).is_some()
     }
 
-    /// Claims the first empty lane of `bucket` for `value` with a CAS
-    /// loop. Returns the slot claimed, or `None` when the bucket stayed
-    /// full throughout. Never overwrites a non-empty lane.
+    /// The first slot of `bucket` whose lane equals `pattern`, word by
+    /// word; `pattern` 0 finds the first empty slot.
+    #[inline]
+    pub fn find(&self, words: &[AtomicU64], bucket: usize, pattern: u64) -> Option<usize> {
+        debug_assert!(
+            pattern <= self.lane_mask(),
+            "pattern {pattern:#x} exceeds lane"
+        );
+        self.bucket_words(words, bucket)
+            .find_map(|(word, kernel, first)| {
+                let mask = kernel.match_mask(word.load(Ordering::Relaxed), pattern);
+                (mask != 0).then(|| first + self.first_lane(mask))
+            })
+    }
+
+    /// Claims the first empty lane of the first word of `bucket` that has
+    /// one for `value`, with a CAS loop per word. Returns the slot
+    /// claimed, or `None` when every word was full when read. Never
+    /// overwrites a non-empty lane.
     ///
     /// # Panics
     ///
@@ -168,26 +258,28 @@ impl AtomicBucketEngine {
     pub fn try_claim(&self, words: &[AtomicU64], bucket: usize, value: u64) -> Option<usize> {
         debug_assert!(value != 0, "value 0 is the empty sentinel");
         debug_assert!(value <= self.lane_mask(), "value {value:#x} exceeds lane");
-        let base = bucket * self.engine.words_per_bucket();
-        loop {
-            let loaded = self.load_bucket(words, bucket);
-            let slot = self.engine.first_empty_slot(&loaded)?;
-            let (word, shift) = self.slot_words[slot];
-            let target = &words[base + word as usize];
-            let old = target.load(Ordering::Relaxed);
-            // Re-derive emptiness from the freshest word: `loaded` may be
-            // stale. If the lane filled meanwhile, loop and look again.
-            if (old >> shift) & self.lane_mask() != 0 {
-                continue;
-            }
-            let new = old | (value << shift);
-            if target
-                .compare_exchange_weak(old, new, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-            {
-                return Some(slot);
+        for (word, kernel, first) in self.bucket_words(words, bucket) {
+            let mut old = word.load(Ordering::Relaxed);
+            loop {
+                let empty = kernel.match_mask(old, 0);
+                if empty == 0 {
+                    break;
+                }
+                // The lowest empty lane starts `width − 1` bits below its MSB.
+                let shift = empty.trailing_zeros() + 1 - self.width();
+                match word.compare_exchange_weak(
+                    old,
+                    old | value << shift,
+                    Ordering::AcqRel,
+                    Ordering::Relaxed,
+                ) {
+                    Ok(_) => return Some(first + self.first_lane(empty)),
+                    // Re-derive emptiness from the freshest word.
+                    Err(current) => old = current,
+                }
             }
         }
+        None
     }
 
     /// Replaces the lane at `(bucket, slot)` with `new` iff it still holds
@@ -207,8 +299,7 @@ impl AtomicBucketEngine {
         debug_assert!(new <= self.lane_mask(), "value {new:#x} exceeds lane");
         let (word, shift) = self.slot_words[slot];
         let mask = self.lane_mask();
-        let base = bucket * self.engine.words_per_bucket();
-        let target = &words[base + word as usize];
+        let target = &words[bucket * self.words_per_bucket + word as usize];
         loop {
             let old = target.load(Ordering::Relaxed);
             if (old >> shift) & mask != expected {
@@ -342,19 +433,6 @@ impl AtomicFingerprintTable {
         self.words.len() * 8
     }
 
-    /// The atomic engine probing this table.
-    #[inline]
-    pub fn engine(&self) -> &AtomicBucketEngine {
-        &self.engine
-    }
-
-    /// Loads `bucket`'s words for repeated kernel probes.
-    #[inline]
-    pub fn load_bucket(&self, bucket: usize) -> BucketWords {
-        debug_assert!(bucket < self.buckets, "bucket {bucket} out of range");
-        self.engine.load_bucket(&self.words, bucket)
-    }
-
     /// Issues a software prefetch for `bucket`'s words — the batch
     /// pipelines' warm-up hook. It loads nothing, so it neither stalls nor
     /// takes part in any atomic protocol: the operation that later reads
@@ -362,7 +440,7 @@ impl AtomicFingerprintTable {
     #[inline]
     pub fn prefetch_bucket(&self, bucket: usize) {
         debug_assert!(bucket < self.buckets, "bucket {bucket} out of range");
-        let wpb = self.engine.engine().words_per_bucket();
+        let wpb = self.engine.words_per_bucket;
         let base = bucket * wpb;
         prefetch_read(&self.words[base]);
         if wpb > 1 {
@@ -387,17 +465,14 @@ impl AtomicFingerprintTable {
     /// The slot currently holding `fingerprint` in `bucket`, if any.
     #[inline]
     pub fn find(&self, bucket: usize, fingerprint: u32) -> Option<usize> {
-        let loaded = self.load_bucket(bucket);
         self.engine
-            .engine()
-            .find_in_bucket(&loaded, u64::from(fingerprint))
+            .find(&self.words, bucket, u64::from(fingerprint))
     }
 
     /// Whether `bucket` currently has no empty slot.
     #[inline]
     pub fn bucket_is_full(&self, bucket: usize) -> bool {
-        let loaded = self.load_bucket(bucket);
-        self.engine.engine().first_empty_slot(&loaded).is_none()
+        self.engine.find(&self.words, bucket, 0).is_none()
     }
 
     /// CAS-claims the first empty slot of `bucket` for `fingerprint`.
@@ -447,9 +522,8 @@ impl AtomicFingerprintTable {
     /// meaningful at quiescence (no concurrent writers).
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, u32)> + '_ {
         (0..self.buckets).flat_map(move |bucket| {
-            let loaded = self.load_bucket(bucket);
             (0..self.engine.slots()).filter_map(move |slot| {
-                let fp = self.engine.engine().lane(&loaded, slot) as u32;
+                let fp = self.get(bucket, slot);
                 (fp != 0).then_some((bucket, slot, fp))
             })
         })

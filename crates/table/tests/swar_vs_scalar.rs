@@ -10,10 +10,12 @@
 //! duplicate lanes, and demands exact agreement.
 //!
 //! The second section checks the lock-free atomic engine against the
-//! sequential one, slot for slot.
+//! sequential one, slot for slot: its per-word kernels exhaustively over
+//! every geometry it accepts, and its table under random op sequences.
 
 use proptest::prelude::*;
-use vcf_table::{BucketEngine, FingerprintTable};
+use std::sync::atomic::{AtomicU64, Ordering};
+use vcf_table::{AtomicBucketEngine, BucketEngine, FingerprintTable};
 
 /// Builds an engine plus one bucket's worth of words holding `lanes`
 /// (truncated to the lane width, list truncated/padded to `slots`).
@@ -273,4 +275,117 @@ proptest! {
             prop_assert_eq!(atomic.contains(0, probe), false, "empty bucket matched");
         }
     }
+}
+
+/// 64-bit LCG for the exhaustive differential below (proptest would
+/// sample the geometry; this covers all of it).
+struct Lcg(u64);
+
+impl Lcg {
+    fn next(&mut self) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        self.0 >> 11
+    }
+
+    /// A lane value: often zero (empty) or 1 (duplicates), else random.
+    fn lane(&mut self, mask: u64) -> u64 {
+        match self.next() % 4 {
+            0 => 0,
+            1 => 1,
+            _ => self.next() & mask,
+        }
+    }
+}
+
+fn loaded(words: &[AtomicU64]) -> Vec<u64> {
+    words.iter().map(|w| w.load(Ordering::Relaxed)).collect()
+}
+
+/// The atomic engine's per-word kernels against the sequential engine's
+/// 128-bit segment kernels, on random contents of the middle bucket of
+/// three, for every `(slots, width)` pair `AtomicBucketEngine::new`
+/// accepts: `contains`, `find`, the first empty slot, the slot
+/// `try_claim` takes, `replace_expect` and `get_slot` all agree, and the
+/// words stay identical, neighbours included.
+#[test]
+fn atomic_word_kernels_match_sequential_engine() {
+    let mut rng = Lcg(0x5eed);
+    let mut accepted = 0;
+    for slots in 1..=8usize {
+        for width in 1..=63u32 {
+            let Ok(atomic) = AtomicBucketEngine::new(slots, width) else {
+                continue;
+            };
+            accepted += 1;
+            let seq = BucketEngine::new(slots, width).unwrap();
+            let mask = seq.lane_mask();
+            for _trial in 0..64 {
+                let mut words = vec![0u64; seq.storage_words(3)];
+                for bucket in 0..3 {
+                    for slot in 0..slots {
+                        seq.set_slot(&mut words, bucket, slot, rng.lane(mask));
+                    }
+                }
+                let shared: Vec<AtomicU64> = words.iter().copied().map(AtomicU64::new).collect();
+                let ctx = format!("b={slots} w={width} words={words:x?}");
+
+                let view = seq.read_bucket(&words, 1);
+                let resident = seq.lane(&view, rng.next() as usize % slots);
+                for probe in [0, 1 & mask, resident, rng.next() & mask, mask] {
+                    let want = seq.find_in_bucket(&view, probe);
+                    assert_eq!(
+                        atomic.find(&shared, 1, probe),
+                        want,
+                        "find {probe:#x} {ctx}"
+                    );
+                    assert_eq!(atomic.contains(&shared, 1, probe), want.is_some(), "{ctx}");
+                }
+                for slot in 0..slots {
+                    assert_eq!(
+                        atomic.get_slot(&shared, 1, slot),
+                        seq.get_slot(&words, 1, slot),
+                        "get {slot} {ctx}"
+                    );
+                }
+
+                let value = (rng.next() & mask).max(1);
+                let first_empty = seq.first_empty_slot(&view);
+                assert_eq!(atomic.find(&shared, 1, 0), first_empty, "first empty {ctx}");
+                assert_eq!(
+                    atomic.try_claim(&shared, 1, value),
+                    first_empty,
+                    "claim {ctx}"
+                );
+                if let Some(slot) = first_empty {
+                    seq.set_slot(&mut words, 1, slot, value);
+                }
+                assert_eq!(loaded(&shared), words, "claim wrote {value:#x} {ctx}");
+
+                let slot = rng.next() as usize % slots;
+                let held = seq.get_slot(&words, 1, slot);
+                let expected = if rng.next().is_multiple_of(2) {
+                    held
+                } else {
+                    rng.lane(mask)
+                };
+                let new = rng.lane(mask);
+                let swapped = held == expected;
+                if swapped {
+                    seq.set_slot(&mut words, 1, slot, new);
+                }
+                assert_eq!(
+                    atomic.replace_expect(&shared, 1, slot, expected, new),
+                    swapped,
+                    "replace slot {slot} {expected:#x} -> {new:#x} {ctx}"
+                );
+                assert_eq!(loaded(&shared), words, "replace wrote {new:#x} {ctx}");
+            }
+        }
+    }
+    // The 171 pairs with `slots · width ≤ 64`, plus the ten multi-word
+    // shapes: width 16 with 5..=8 slots, width 32 with 3..=8.
+    assert_eq!(accepted, 181, "accepted geometries changed");
 }
