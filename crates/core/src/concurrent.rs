@@ -8,7 +8,9 @@
 //! * **Insert (fast path)** is lock-free: an empty lane is claimed with a
 //!   single-word CAS ([`AtomicFingerprintTable::try_claim`]). Threads
 //!   claiming different lanes of the same word retry each other's CAS but
-//!   never block.
+//!   never block. The per-key body is this first fit alone; the kick walk
+//!   is a separate cold function it calls only when every candidate is
+//!   full.
 //! * **Relocation** (the kick walk) is the only part that locks, and it
 //!   locks exactly two buckets at a time, in ascending (stripe) order,
 //!   for one copy-then-clear move. The item being moved is visible in the

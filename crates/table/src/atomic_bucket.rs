@@ -1,49 +1,35 @@
-//! Atomic counterpart of the bucket engine: lock-free word-level probing
-//! and CAS-based slot updates over `AtomicU64` storage.
+//! Atomic counterpart of the bucket engine: lock-free probing and
+//! single-word CAS updates over `AtomicU64` storage.
 //!
-//! [`AtomicBucketEngine`] reuses the [`BucketEngine`] layout but operates
-//! on `&[AtomicU64]` words, so concurrent filters can probe and mutate
-//! buckets without a table-wide lock:
+//! [`AtomicBucketEngine`] accepts only [`BucketEngine`] layouts in which
+//! no lane straddles a 64-bit word, so every word holds a run of whole
+//! lanes from bit 0. A probe loads one word at a time (`Relaxed`) and
+//! tests all its lanes with one `u64` broadcast-compare, the `bucket`
+//! module's SWAR trick with per-word constants; no probe assembles a
+//! bucket-wide view. A multi-word bucket may thus be read *torn across
+//! words* under concurrent writes, which is indistinguishable from some
+//! interleaving of the racing operations: each lane is still consistent.
+//! [`try_claim`](AtomicBucketEngine::try_claim) ORs a value into the
+//! first empty lane (empty lanes are zero) of the first word that has one
+//! with a CAS of the whole word; [`replace_expect`](AtomicBucketEngine::replace_expect)
+//! swaps a lane only while it still holds the expected value.
 //!
-//! * **Probes are per word.** The engine only accepts geometries where
-//!   every lane fits inside one 64-bit word, and in each of those a word
-//!   holds a run of whole lanes from bit 0. So a probe loads one word at
-//!   a time (`Relaxed`) and tests all its lanes with one `u64`
-//!   broadcast-compare: [`BucketEngine`]'s SWAR trick, with constants per
-//!   word computed at construction. It never assembles a
-//!   [`BucketWords`](crate::BucketWords) view. A multi-word bucket may be
-//!   read *torn across words* under concurrent writes; each lane is still
-//!   internally consistent, and a torn read is indistinguishable from
-//!   some interleaving of the racing operations, which is exactly the
-//!   consistency a lock-free probe needs.
-//! * **Writes are single-word CAS.** [`try_claim`](AtomicBucketEngine::try_claim)
-//!   fills the first empty lane of the first word that has one by CAS-ing
-//!   the whole word (empty lanes are zero, so the claim is an OR);
-//!   [`replace_expect`](AtomicBucketEngine::replace_expect) swaps a lane
-//!   only while it still holds the expected value, retrying when *other*
-//!   lanes of the same word changed underneath.
-//!
-//! Memory ordering: data loads are `Relaxed` — the stored fingerprints
-//! *are* the data, nothing is published through them — and successful CAS
-//! uses `AcqRel` so that claim/replace chains order across threads. Any
-//! stronger visibility contract (e.g. "a miss really means absent while a
-//! relocation is in flight") belongs to the caller; `vcf-core`'s
-//! `ConcurrentVcf` layers striped seqlock versions on top for that.
-//!
-//! [`AtomicFingerprintTable`] owns the `AtomicU64` buffer plus an exact
-//! occupancy counter and mirrors the sequential [`FingerprintTable`] API
-//! with `&self` mutators.
-//!
-//! [`FingerprintTable`]: crate::FingerprintTable
+//! Data loads are `Relaxed` — the stored fingerprints *are* the data —
+//! and successful CAS uses `AcqRel`, so claim/replace chains order across
+//! threads. Stronger visibility ("a miss means absent while a relocation
+//! is in flight") is the caller's: `vcf-core`'s `ConcurrentVcf` layers
+//! striped seqlocks on top. [`AtomicFingerprintTable`] owns the buffer
+//! and an exact occupancy counter, and mirrors the sequential
+//! [`FingerprintTable`](crate::FingerprintTable) with `&self` mutators.
 
 use crate::bucket::BucketEngine;
+use crate::fingerprint::check_geometry;
 use crate::prefetch::prefetch_read;
-use crate::{MAX_BUCKET_SLOTS, MAX_FINGERPRINT_BITS, MIN_FINGERPRINT_BITS};
+use crate::MAX_BUCKET_SLOTS;
 use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use vcf_traits::BuildError;
 
-/// SWAR constants for one bucket word of `lanes` lanes from bit 0 (see
-/// the compare trick in the `bucket` module).
+/// SWAR constants for one word of `lanes` lanes from bit 0.
 #[derive(Debug, Clone, Copy)]
 struct WordKernel {
     ones: u64,
@@ -53,22 +39,17 @@ struct WordKernel {
 
 impl WordKernel {
     fn new(lanes: usize, width: u32) -> Self {
-        let ones = (0..lanes as u32).fold(0u64, |ones, lane| ones | 1 << (lane * width));
+        let ones = (0..lanes as u32).fold(0, |ones, lane| ones | 1u64 << (lane * width));
         let highs = ones << (width - 1);
-        Self {
-            ones,
-            lows: highs - ones,
-            highs,
-        }
+        let lows = highs - ones;
+        Self { ones, lows, highs }
     }
 
-    /// MSB-per-lane mask of the lanes of `x` equal to `pattern`. Bits
-    /// past the last lane are zero in storage and outside `highs`.
+    /// MSB-per-lane mask of the lanes of `x` equal to `pattern`; padding is outside `highs`.
     #[inline]
     fn match_mask(&self, x: u64, pattern: u64) -> u64 {
         let y = x ^ self.ones.wrapping_mul(pattern);
-        let t = (y & self.lows).wrapping_add(self.lows);
-        !(t | y) & self.highs
+        !((y & self.lows).wrapping_add(self.lows) | y) & self.highs
     }
 }
 
@@ -98,21 +79,15 @@ impl WordKernel {
 #[derive(Debug, Clone, Copy)]
 pub struct AtomicBucketEngine {
     engine: BucketEngine,
-    /// Bucket stride in words.
-    words_per_bucket: usize,
-    /// Leading words of a bucket that hold lanes; the rest, if any, is
-    /// padding (e.g. the fourth word of a 5 × 32-bit bucket).
+    /// Leading words of a bucket that hold lanes (a 5 × 32-bit bucket
+    /// pads a fourth); word `k` holds slots `k · lanes_per_word ..`.
     lane_words: usize,
-    /// Lanes in every lane word but the last: word `k` holds slots
-    /// `k · lanes_per_word ..`.
     lanes_per_word: usize,
-    /// `⌈2^16 / width⌉`: `bit · recip >> 16 = bit / width` for any bit
-    /// of a word, without a division.
+    /// `⌈2^16 / width⌉`, so that `bit · width_recip >> 16 = bit / width`
+    /// for every bit of a word.
     width_recip: u32,
-    /// Kernel for words `0..lane_words − 1`.
-    full: WordKernel,
-    /// Kernel for the last lane word (may hold fewer lanes).
-    last: WordKernel,
+    /// The kernel of each lane word (at most 8 lanes of 32 bits: 4).
+    kernels: [WordKernel; 4],
     /// Per-slot `(word-in-bucket, shift)`.
     slot_words: [(u8, u8); MAX_BUCKET_SLOTS],
 }
@@ -129,9 +104,6 @@ impl AtomicBucketEngine {
     /// could not update such a lane atomically.
     pub fn new(slots: usize, width: u32) -> Result<Self, BuildError> {
         let engine = BucketEngine::new(slots, width)?;
-        // No lane straddles, so each word holds a run of whole lanes from
-        // bit 0: all of them in one word, or 64 / width per word.
-        let lanes_per_word = slots.min(64 / width as usize);
         let mut slot_words = [(0u8, 0u8); MAX_BUCKET_SLOTS];
         for (slot, out) in slot_words.iter_mut().enumerate().take(slots) {
             let Some((word, shift)) = engine.slot_word_shift(slot) else {
@@ -142,24 +114,18 @@ impl AtomicBucketEngine {
                     ),
                 });
             };
-            debug_assert_eq!(
-                (word, shift),
-                (
-                    slot / lanes_per_word,
-                    (slot % lanes_per_word) as u32 * width
-                )
-            );
             *out = (word as u8, shift as u8);
         }
-        let lane_words = slots.div_ceil(lanes_per_word);
+        // No lane straddles, so all lanes share one word, or each word
+        // holds 64 / width of them.
+        let lanes_per_word = slots.min(64 / width as usize);
+        let lanes = |k: usize| slots.saturating_sub(k * lanes_per_word).min(lanes_per_word);
         Ok(Self {
             engine,
-            words_per_bucket: engine.words_per_bucket(),
-            lane_words,
+            lane_words: slots.div_ceil(lanes_per_word),
             lanes_per_word,
             width_recip: (1u32 << 16).div_ceil(width),
-            full: WordKernel::new(lanes_per_word, width),
-            last: WordKernel::new(slots - (lane_words - 1) * lanes_per_word, width),
+            kernels: [0, 1, 2, 3].map(|k| WordKernel::new(lanes(k), width)),
             slot_words,
         })
     }
@@ -187,31 +153,10 @@ impl AtomicBucketEngine {
         self.engine.storage_words(buckets)
     }
 
-    /// `bucket`'s lane words, each paired with its kernel and first slot.
+    /// The slot of lane word `k` whose MSB is the lowest set bit of `mask`.
     #[inline]
-    fn bucket_words<'a>(
-        &'a self,
-        words: &'a [AtomicU64],
-        bucket: usize,
-    ) -> impl Iterator<Item = (&'a AtomicU64, &'a WordKernel, usize)> + 'a {
-        let base = bucket * self.words_per_bucket;
-        words[base..base + self.lane_words]
-            .iter()
-            .enumerate()
-            .map(move |(k, word)| {
-                let kernel = if k + 1 == self.lane_words {
-                    &self.last
-                } else {
-                    &self.full
-                };
-                (word, kernel, k * self.lanes_per_word)
-            })
-    }
-
-    /// The lane whose MSB is the lowest set bit of a non-zero `mask`.
-    #[inline]
-    fn first_lane(&self, mask: u64) -> usize {
-        ((mask.trailing_zeros() * self.width_recip) >> 16) as usize
+    fn slot_of(&self, k: usize, mask: u64) -> usize {
+        k * self.lanes_per_word + ((mask.trailing_zeros() * self.width_recip) >> 16) as usize
     }
 
     /// Reads one lane with a single `Relaxed` atomic load.
@@ -219,7 +164,8 @@ impl AtomicBucketEngine {
     pub fn get_slot(&self, words: &[AtomicU64], bucket: usize, slot: usize) -> u64 {
         debug_assert!(slot < self.slots(), "slot {slot} out of range");
         let (word, shift) = self.slot_words[slot];
-        let raw = words[bucket * self.words_per_bucket + word as usize].load(Ordering::Relaxed);
+        let raw =
+            words[bucket * self.engine.words_per_bucket() + word as usize].load(Ordering::Relaxed);
         (raw >> shift) & self.lane_mask()
     }
 
@@ -239,11 +185,12 @@ impl AtomicBucketEngine {
             pattern <= self.lane_mask(),
             "pattern {pattern:#x} exceeds lane"
         );
-        self.bucket_words(words, bucket)
-            .find_map(|(word, kernel, first)| {
-                let mask = kernel.match_mask(word.load(Ordering::Relaxed), pattern);
-                (mask != 0).then(|| first + self.first_lane(mask))
-            })
+        let base = bucket * self.engine.words_per_bucket();
+        (0..self.lane_words).find_map(|k| {
+            let x = words[base + k].load(Ordering::Relaxed);
+            let mask = self.kernels[k].match_mask(x, pattern);
+            (mask != 0).then(|| self.slot_of(k, mask))
+        })
     }
 
     /// Claims the first empty lane of the first word of `bucket` that has
@@ -258,22 +205,18 @@ impl AtomicBucketEngine {
     pub fn try_claim(&self, words: &[AtomicU64], bucket: usize, value: u64) -> Option<usize> {
         debug_assert!(value != 0, "value 0 is the empty sentinel");
         debug_assert!(value <= self.lane_mask(), "value {value:#x} exceeds lane");
-        for (word, kernel, first) in self.bucket_words(words, bucket) {
+        let base = bucket * self.engine.words_per_bucket();
+        for (k, word) in words[base..base + self.lane_words].iter().enumerate() {
             let mut old = word.load(Ordering::Relaxed);
             loop {
-                let empty = kernel.match_mask(old, 0);
+                let empty = self.kernels[k].match_mask(old, 0);
                 if empty == 0 {
                     break;
                 }
                 // The lowest empty lane starts `width − 1` bits below its MSB.
-                let shift = empty.trailing_zeros() + 1 - self.width();
-                match word.compare_exchange_weak(
-                    old,
-                    old | value << shift,
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => return Some(first + self.first_lane(empty)),
+                let new = old | value << (empty.trailing_zeros() + 1 - self.width());
+                match word.compare_exchange_weak(old, new, Ordering::AcqRel, Ordering::Relaxed) {
+                    Ok(_) => return Some(self.slot_of(k, empty)),
                     // Re-derive emptiness from the freshest word.
                     Err(current) => old = current,
                 }
@@ -299,7 +242,7 @@ impl AtomicBucketEngine {
         debug_assert!(new <= self.lane_mask(), "value {new:#x} exceeds lane");
         let (word, shift) = self.slot_words[slot];
         let mask = self.lane_mask();
-        let target = &words[bucket * self.words_per_bucket + word as usize];
+        let target = &words[bucket * self.engine.words_per_bucket() + word as usize];
         loop {
             let old = target.load(Ordering::Relaxed);
             if (old >> shift) & mask != expected {
@@ -362,24 +305,7 @@ impl AtomicFingerprintTable {
         slots_per_bucket: usize,
         fingerprint_bits: u32,
     ) -> Result<Self, BuildError> {
-        if buckets == 0 {
-            return Err(BuildError::InvalidBucketCount {
-                got: 0,
-                requirement: "positive",
-            });
-        }
-        if slots_per_bucket == 0 || slots_per_bucket > MAX_BUCKET_SLOTS {
-            return Err(BuildError::InvalidBucketSize {
-                got: slots_per_bucket,
-            });
-        }
-        if !(MIN_FINGERPRINT_BITS..=MAX_FINGERPRINT_BITS).contains(&fingerprint_bits) {
-            return Err(BuildError::InvalidFingerprintBits {
-                got: fingerprint_bits,
-                min: MIN_FINGERPRINT_BITS,
-                max: MAX_FINGERPRINT_BITS,
-            });
-        }
+        check_geometry(buckets, slots_per_bucket, fingerprint_bits)?;
         let engine = AtomicBucketEngine::new(slots_per_bucket, fingerprint_bits)?;
         let words = (0..engine.storage_words(buckets))
             .map(|_| AtomicU64::new(0))
@@ -440,7 +366,7 @@ impl AtomicFingerprintTable {
     #[inline]
     pub fn prefetch_bucket(&self, bucket: usize) {
         debug_assert!(bucket < self.buckets, "bucket {bucket} out of range");
-        let wpb = self.engine.words_per_bucket;
+        let wpb = self.engine.engine.words_per_bucket();
         let base = bucket * wpb;
         prefetch_read(&self.words[base]);
         if wpb > 1 {

@@ -10,6 +10,35 @@ use crate::bucket::{BucketEngine, BucketWords};
 use crate::{MAX_BUCKET_SLOTS, MAX_FINGERPRINT_BITS, MIN_FINGERPRINT_BITS};
 use vcf_traits::BuildError;
 
+/// The table geometry checks [`FingerprintTable`] and
+/// [`AtomicFingerprintTable`](crate::AtomicFingerprintTable) share: a
+/// positive bucket count, `1..=8` slots and a fingerprint width in range.
+pub(crate) fn check_geometry(
+    buckets: usize,
+    slots_per_bucket: usize,
+    fingerprint_bits: u32,
+) -> Result<(), BuildError> {
+    if buckets == 0 {
+        return Err(BuildError::InvalidBucketCount {
+            got: 0,
+            requirement: "positive",
+        });
+    }
+    if slots_per_bucket == 0 || slots_per_bucket > MAX_BUCKET_SLOTS {
+        return Err(BuildError::InvalidBucketSize {
+            got: slots_per_bucket,
+        });
+    }
+    if !(MIN_FINGERPRINT_BITS..=MAX_FINGERPRINT_BITS).contains(&fingerprint_bits) {
+        return Err(BuildError::InvalidFingerprintBits {
+            got: fingerprint_bits,
+            min: MIN_FINGERPRINT_BITS,
+            max: MAX_FINGERPRINT_BITS,
+        });
+    }
+    Ok(())
+}
+
 /// A table of `buckets × slots_per_bucket` slots, the storage layout of
 /// every sequential cuckoo filter in this workspace.
 ///
@@ -86,24 +115,7 @@ impl FingerprintTable {
         fingerprint_bits: u32,
         mark_bits: u32,
     ) -> Result<Self, BuildError> {
-        if buckets == 0 {
-            return Err(BuildError::InvalidBucketCount {
-                got: 0,
-                requirement: "positive",
-            });
-        }
-        if slots_per_bucket == 0 || slots_per_bucket > MAX_BUCKET_SLOTS {
-            return Err(BuildError::InvalidBucketSize {
-                got: slots_per_bucket,
-            });
-        }
-        if !(MIN_FINGERPRINT_BITS..=MAX_FINGERPRINT_BITS).contains(&fingerprint_bits) {
-            return Err(BuildError::InvalidFingerprintBits {
-                got: fingerprint_bits,
-                min: MIN_FINGERPRINT_BITS,
-                max: MAX_FINGERPRINT_BITS,
-            });
-        }
+        check_geometry(buckets, slots_per_bucket, fingerprint_bits)?;
         let engine = BucketEngine::with_empty_field(
             slots_per_bucket,
             fingerprint_bits.saturating_add(mark_bits),
