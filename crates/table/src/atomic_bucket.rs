@@ -408,8 +408,8 @@ impl AtomicFingerprintTable {
     ///
     /// Debug builds panic if `fingerprint` is zero (the empty sentinel);
     /// fingerprint derivation remaps 0 before it reaches the table.
+    #[inline]
     pub fn try_claim(&self, bucket: usize, fingerprint: u32) -> Option<usize> {
-        debug_assert!(fingerprint != 0, "fingerprint 0 is the empty sentinel");
         let slot = self
             .engine
             .try_claim(&self.words, bucket, u64::from(fingerprint))?;
@@ -423,10 +423,10 @@ impl AtomicFingerprintTable {
     ///
     /// # Panics
     ///
-    /// Debug builds panic if `expected` is zero — claiming empty slots
-    /// must go through
-    /// [`try_claim`](AtomicFingerprintTable::try_claim) so occupancy
-    /// stays first-empty-slot consistent.
+    /// Debug builds panic if `expected` is zero: empty slots are claimed
+    /// through [`try_claim`](AtomicFingerprintTable::try_claim), so that
+    /// occupancy stays first-empty-slot consistent.
+    #[inline]
     pub fn replace_expect(&self, bucket: usize, slot: usize, expected: u32, new: u32) -> bool {
         debug_assert!(expected != 0, "claim empty slots via try_claim");
         if !self.engine.replace_expect(

@@ -18,9 +18,9 @@
 //!   for k-VCF. The cuckoo engine in `vcf-core` drives every variant
 //!   through it,
 //! * [`AtomicBucketEngine`] / [`AtomicFingerprintTable`] — the lock-free
-//!   siblings: the same layout and kernels over `AtomicU64` words, with
-//!   CAS-based slot claim/replace for concurrent filters (`ConcurrentVcf`
-//!   in `vcf-core`).
+//!   siblings: the same layout over `AtomicU64` words, probed one word
+//!   at a time, with CAS-based slot claim/replace for concurrent filters
+//!   (`ConcurrentVcf` in `vcf-core`).
 //!
 //! All tables use a zero fingerprint field as the empty-slot sentinel, so
 //! the filter layer maps real fingerprints into `1..2^f` (the standard
