@@ -91,12 +91,25 @@ pub(crate) struct Tally {
 }
 
 impl Tally {
-    /// Charges one insert call that did this work and ended in `result`.
+    /// Charges one insert call that did this work and ended in `result`
+    /// to a batch's local `stats`.
     pub(crate) fn charge(&self, stats: &mut Stats, result: &Result<(), InsertError>) {
         stats.inserts += OpCounters::one_call(self.probes, self.accesses);
         stats.kicks += self.kicks;
         stats.hash_computations += self.hashes;
         stats.failed_inserts += u64::from(result.is_err());
+    }
+
+    /// Publishes the same charge straight to `counters`, for a single-key
+    /// insert. Both skip a zero delta: first fit, the common case, kicks
+    /// nothing and hashes nothing more.
+    pub(crate) fn publish(&self, counters: &Counters, result: &Result<(), InsertError>) {
+        counters.add_kicks(self.kicks);
+        counters.add_hashes(self.hashes);
+        counters.record_insert(self.probes, self.accesses);
+        if result.is_err() {
+            counters.add_failed_insert();
+        }
     }
 }
 
@@ -311,13 +324,10 @@ impl<P: CandidatePolicy> CuckooCore<P> {
         }
     }
 
-    /// Places a hashed item and counts the insert into `stats`.
-    fn insert_key(&mut self, key: Key, stats: &mut Stats) -> Result<(), InsertError> {
-        let (result, t) = self
-            .walk
-            .place(&self.policy, &mut self.table, self.hash, key);
-        t.charge(stats, &result);
-        result
+    /// Places a hashed item, returning the work it took.
+    fn insert_key(&mut self, key: Key) -> (Result<(), InsertError>, Tally) {
+        self.walk
+            .place(&self.policy, &mut self.table, self.hash, key)
     }
 }
 
@@ -326,10 +336,9 @@ impl<P: CandidatePolicy> Filter for CuckooCore<P> {
     /// Algorithm 1: first fit, then the random walk with rollback.
     fn insert(&mut self, item: &[u8]) -> Result<(), InsertError> {
         let key = self.key(item);
-        let mut stats = Stats::new();
-        stats.hash_computations = 2; // hash(x) + hash(η)
-        let result = self.insert_key(key, &mut stats);
-        self.counters.add(&stats);
+        self.counters.add_hashes(2); // hash(x) + hash(η)
+        let (result, t) = self.insert_key(key);
+        t.publish(&self.counters, &result);
         result
     }
 
@@ -345,7 +354,9 @@ impl<P: CandidatePolicy> Filter for CuckooCore<P> {
         for chunk in items.chunks(WINDOW) {
             self.prefetch_window(chunk, &mut window);
             for &key in &window {
-                out.push(self.insert_key(key, &mut stats));
+                let (result, t) = self.insert_key(key);
+                t.charge(&mut stats, &result);
+                out.push(result);
             }
         }
         self.counters.add(&stats);

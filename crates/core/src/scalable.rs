@@ -554,9 +554,9 @@ impl ScalableVcf {
         }
     }
 
-    /// Probes the chain newest-first for `key` and counts the lookup
-    /// into `stats`.
-    fn lookup(&self, key: Key, stats: &mut Stats) -> bool {
+    /// Probes the chain newest-first for `key`, returning the answer and
+    /// the lookup's counts.
+    fn lookup(&self, key: Key) -> (bool, OpCounters) {
         let mut probes = 0u64;
         let mut accesses = 0u64;
         let mut found = false;
@@ -569,14 +569,13 @@ impl ScalableVcf {
                 break;
             }
         }
-        stats.lookups += OpCounters::one_call(probes, accesses);
-        found
+        (found, OpCounters::one_call(probes, accesses))
     }
 
     /// One insert's worth of work: amortized migration, proactive
     /// growth, placement, reactive growth + retry on a full active
-    /// segment. Exactly one logical insert is counted into `stats`.
-    fn insert_key(&mut self, key: Key, stats: &mut Stats) -> Result<(), InsertError> {
+    /// segment. Returns the work of exactly one logical insert.
+    fn insert_key(&mut self, key: Key) -> (Result<(), InsertError>, Tally) {
         self.migration.last_op_buckets = 0;
         if self.migrate_budget > 0 && self.segments.len() > 1 {
             let drained = self.migrate_step(self.migrate_budget);
@@ -598,8 +597,7 @@ impl ScalableVcf {
             }
             other => other,
         };
-        work.charge(stats, &result);
-        result
+        (result, work)
     }
 
     /// Drains up to `budget` bucket-ranges from the oldest segments
@@ -776,10 +774,9 @@ impl Filter for ScalableVcf {
     /// and growing the chain when the active segment is (nearly) full.
     fn insert(&mut self, item: &[u8]) -> Result<(), InsertError> {
         let key = self.key_of(item);
-        let mut stats = Stats::new();
-        stats.hash_computations = 2; // hash(x) + hash(η)
-        let result = self.insert_key(key, &mut stats);
-        self.counters.add(&stats);
+        self.counters.add_hashes(2); // hash(x) + hash(η)
+        let (result, work) = self.insert_key(key);
+        work.publish(&self.counters, &result);
         result
     }
 
@@ -796,7 +793,9 @@ impl Filter for ScalableVcf {
         for chunk in items.chunks(WINDOW) {
             self.prefetch_window(chunk, self.segments.last(), &mut window);
             for &key in &window {
-                out.push(self.insert_key(key, &mut stats));
+                let (result, work) = self.insert_key(key);
+                work.charge(&mut stats, &result);
+                out.push(result);
             }
         }
         self.counters.add(&stats);
@@ -807,9 +806,9 @@ impl Filter for ScalableVcf {
     /// Probes the chain newest-first: an item's four candidate buckets
     /// in each segment (coset lows OR the segment's partition base).
     fn contains(&self, item: &[u8]) -> bool {
-        let mut stats = Stats::new();
-        let found = self.lookup(self.key_of(item), &mut stats);
-        self.counters.add(&stats);
+        let (found, op) = self.lookup(self.key_of(item));
+        self.counters
+            .record_lookup(op.slot_probes, op.bucket_accesses);
         found
     }
 
@@ -824,7 +823,11 @@ impl Filter for ScalableVcf {
         let mut stats = Stats::new();
         for chunk in items.chunks(WINDOW) {
             self.prefetch_window(chunk, &self.segments, &mut window);
-            out.extend(window.iter().map(|&key| self.lookup(key, &mut stats)));
+            out.extend(window.iter().map(|&key| {
+                let (found, op) = self.lookup(key);
+                stats.lookups += op;
+                found
+            }));
         }
         self.counters.add(&stats);
         out
