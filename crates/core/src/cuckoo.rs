@@ -93,6 +93,7 @@ pub(crate) struct Tally {
 impl Tally {
     /// Charges one insert call that did this work and ended in `result`
     /// to a batch's local `stats`.
+    #[inline]
     pub(crate) fn charge(&self, stats: &mut Stats, result: &Result<(), InsertError>) {
         stats.inserts += OpCounters::one_call(self.probes, self.accesses);
         stats.kicks += self.kicks;
@@ -103,6 +104,7 @@ impl Tally {
     /// Publishes the same charge straight to `counters`, for a single-key
     /// insert. Both skip a zero delta: first fit, the common case, kicks
     /// nothing and hashes nothing more.
+    #[inline]
     pub(crate) fn publish(&self, counters: &Counters, result: &Result<(), InsertError>) {
         counters.add_kicks(self.kicks);
         counters.add_hashes(self.hashes);
@@ -325,6 +327,7 @@ impl<P: CandidatePolicy> CuckooCore<P> {
     }
 
     /// Places a hashed item, returning the work it took.
+    #[inline]
     fn insert_key(&mut self, key: Key) -> (Result<(), InsertError>, Tally) {
         self.walk
             .place(&self.policy, &mut self.table, self.hash, key)
