@@ -81,7 +81,8 @@ impl Key {
     }
 }
 
-/// Work one placement did; the caller charges it to its local [`Stats`].
+/// Work one placement did; the caller charges it to a batch's local
+/// [`Stats`] or publishes it to its counters.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct Tally {
     pub(crate) probes: u64,

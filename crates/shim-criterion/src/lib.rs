@@ -16,7 +16,7 @@
 //! As in criterion, the first command-line argument that is not a flag
 //! is a substring filter: `cargo bench --bench insert_throughput --
 //! insert/router` runs only the benchmarks whose `group/id` contains
-//! `insert/router`, and skips the rest without running their set-up.
+//! `insert/router`, and skips the rest without running their closures.
 //! Flags take no value here.
 
 #![forbid(unsafe_code)]
