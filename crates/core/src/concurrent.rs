@@ -131,9 +131,9 @@ type PathStep = (usize, usize, u32);
 ///   the walk retries; the table is consistent at every step.
 /// * Occupancy accounting is exact: `len()` equals successful inserts
 ///   minus successful deletes (relocation is occupancy-neutral).
-/// * The geometry must word-align: every lane has to fit inside one
-///   `u64` word so it can be CASed (e.g. 4 slots × 14 bits works; 8
-///   slots × 12 bits straddles and is rejected at construction).
+/// * It takes every geometry the sequential filter takes: the shared
+///   bucket layout keeps every lane inside one `u64` word, so any lane
+///   can be claimed or replaced with a single CAS.
 ///
 /// # Examples
 ///
@@ -186,9 +186,7 @@ impl ConcurrentVcf {
     ///
     /// # Errors
     ///
-    /// Returns a [`BuildError`] for invalid geometry, including lane
-    /// layouts that straddle a 64-bit word boundary (those cannot be
-    /// updated with a single CAS).
+    /// Returns a [`BuildError`] for invalid geometry.
     pub fn new(config: CuckooConfig) -> Result<Self, BuildError> {
         let masks = MaskPair::balanced(config.fingerprint_bits)?;
         Self::with_masks(config, masks, "ConcurrentVCF".to_owned())
@@ -972,16 +970,26 @@ mod tests {
     }
 
     #[test]
-    fn straddling_geometry_is_rejected() {
-        // 8 slots × 12 bits: lanes cross the 64-bit word boundary, so the
-        // atomic engine cannot CAS a single lane.
+    fn eight_slots_of_twelve_bits_insert_lookup_delete() {
+        // 8 × 12-bit lanes: five in a bucket's first word, three in its
+        // second. Filled to 90 %, so the kick walk moves lanes of both.
         let config = CuckooConfig::new(1 << 8)
             .with_slots_per_bucket(8)
-            .with_fingerprint_bits(12);
-        assert!(matches!(
-            ConcurrentVcf::new(config),
-            Err(BuildError::InvalidConfig { .. })
-        ));
+            .with_fingerprint_bits(12)
+            .with_seed(3);
+        let f = ConcurrentVcf::new(config).unwrap();
+        assert_eq!(f.capacity(), 2048);
+        let n = 1843;
+        for i in 0..n {
+            f.insert(&key(i)).unwrap();
+        }
+        assert_eq!(f.len(), n as usize);
+        assert!((0..n).all(|i| f.contains(&key(i))));
+        for i in (0..n).step_by(2) {
+            assert!(f.delete(&key(i)), "delete {i}");
+        }
+        assert_eq!(f.len(), n as usize / 2);
+        assert!((1..n).step_by(2).all(|i| f.contains(&key(i))));
     }
 
     #[test]

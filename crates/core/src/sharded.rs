@@ -423,8 +423,8 @@ impl ShardedConcurrentVcf {
     /// # Errors
     ///
     /// Returns a [`BuildError`] when the per-shard geometry would be
-    /// degenerate or the per-shard lane layout would straddle a word
-    /// boundary (see [`ConcurrentVcf::new`]).
+    /// degenerate (each shard needs at least 4 buckets) or the
+    /// underlying [`ConcurrentVcf`] construction fails.
     pub fn new(config: CuckooConfig, shard_bits: u32) -> Result<Self, BuildError> {
         Self::build(
             config,

@@ -8,19 +8,20 @@
 //! (Section III-C). This crate provides:
 //!
 //! * [`PackedTable`] — a raw bit-packed array of fixed-width slots,
-//! * [`BucketEngine`] — the word-level bucket engine: a word-aligned
-//!   bucket layout plus SWAR broadcast-compare kernels that probe all
-//!   slots of a bucket in O(1) word operations,
-//! * [`FingerprintTable`] — the one sequential slot table, probed through
-//!   the bucket engine. Each slot is a lane `mark << f | fingerprint`
-//!   whose mark field has a width fixed at construction: none for CF,
-//!   DCF, VCF, IVCF, DVCF and the elastic segments, `ceil(log2(k))` bits
-//!   for k-VCF. The cuckoo engine in `vcf-core` drives every variant
-//!   through it,
-//! * [`AtomicBucketEngine`] / [`AtomicFingerprintTable`] — the lock-free
-//!   siblings: the same layout over `AtomicU64` words, probed one word
-//!   at a time, with CAS-based slot claim/replace for concurrent filters
+//! * [`FingerprintTable`] — the one sequential slot table. Each slot is
+//!   a lane `mark << f | fingerprint` whose mark field has a width fixed
+//!   at construction: none for CF, DCF, VCF, IVCF, DVCF and the elastic
+//!   segments, `ceil(log2(k))` bits for k-VCF. The cuckoo engine in
+//!   `vcf-core` drives every variant through it,
+//! * [`AtomicFingerprintTable`] — its lock-free sibling over `AtomicU64`
+//!   words, with CAS-based slot claim/replace for concurrent filters
 //!   (`ConcurrentVcf` in `vcf-core`).
+//!
+//! Both slot tables share one bucket layout and one set of probes: a
+//! bucket of `b` lanes of `w` bits is `⌈b / ⌊64/w⌋⌉` words, each holding
+//! whole lanes from bit 0, so no lane straddles a word. A probe tests all
+//! lanes of a word with one SWAR broadcast-compare, and a lane can be
+//! claimed or replaced with a single-word CAS, at every geometry.
 //!
 //! All tables use a zero fingerprint field as the empty-slot sentinel, so
 //! the filter layer maps real fingerprints into `1..2^f` (the standard
@@ -49,8 +50,8 @@ mod fingerprint;
 mod packed;
 mod prefetch;
 
-pub use atomic_bucket::{AtomicBucketEngine, AtomicFingerprintTable};
-pub use bucket::{BucketEngine, BucketWords, MAX_BUCKET_SEGMENTS, MAX_LANE_BITS};
+pub use atomic_bucket::AtomicFingerprintTable;
+pub use bucket::MAX_LANE_BITS;
 pub use fingerprint::FingerprintTable;
 pub use packed::PackedTable;
 

@@ -151,6 +151,17 @@ fn family() -> Vec<(&'static str, MakeFilter)> {
         ("ConcurrentVCF", |c| {
             Box::new(ConcurrentVcf::new(c).unwrap())
         }),
+        // Eight 12-bit lanes per bucket span two words; half the buckets
+        // keep the table at 256 slots, so the longer streams still kick.
+        ("ConcurrentVCF b=8 f=12", |c| {
+            let c = CuckooConfig {
+                buckets: c.buckets / 2,
+                ..c
+            };
+            Box::new(
+                ConcurrentVcf::new(c.with_slots_per_bucket(8).with_fingerprint_bits(12)).unwrap(),
+            )
+        }),
     ]
 }
 
